@@ -135,7 +135,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    kind = RLS if args.algo == "rls" else ONE_PLUS_ONE_EA
+    kind = _parse_kind(args.algo, None)
     if args.format == "csv" and (args.per_state or args.hitting_times):
         raise UsageError("--per-state/--hitting-times require --format json")
     res = absorption_probabilities(kind, args.w, args.n)
@@ -166,10 +166,6 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _report_dict(report) -> dict:
-    return asdict(report)
-
-
 def cmd_verify(args) -> int:
     n = args.n
     reports = []
@@ -186,7 +182,7 @@ def cmd_verify(args) -> int:
                                               weights=weights, seed=args.seed))
     config = {"lemma": args.lemma, "n": n, "samples": args.samples, "seed": args.seed}
     if args.format == "json":
-        _emit_json(make_record("verify", config, [_report_dict(r) for r in reports]))
+        _emit_json(make_record("verify", config, [asdict(r) for r in reports]))
     else:
         _emit_csv(["lemma", "n", "passed", "worst_margin"],
                   [[r.lemma, n, int(r.passed), r.worst_margin] for r in reports])
@@ -213,7 +209,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    kind = RLS if args.algo == "rls" else ONE_PLUS_ONE_EA
+    kind = _parse_kind(args.algo, None)
     budget = args.budget if args.budget is not None else default_budget(args.n)
     print("g,t,prev_first,current,fitness,accepted,event")
 

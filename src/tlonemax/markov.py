@@ -3,12 +3,17 @@
 Both mutation operators and the fitness are exchangeable over positions 2..n,
 so the full chain over (stored first bit, current bitstring) lumps exactly to
 4n states (stored first bit, current first bit, ones among positions 2..n).
-This module builds those lumped chains with exact transition probabilities,
-solves the standard absorbing-chain linear systems for per-start and overall
-absorption probabilities (optimum vs each proven stagnation event), and
-computes expected generations to the optimum conditioned on reaching it via
-the h-transform of the transient chain.  A brute-force full-state chain
-(every bitstring enumerated) validates the lumping at small n.
+This module builds those lumped chains with exact transition probabilities
+and solves them for per-start and overall absorption probabilities (optimum
+vs each proven stagnation event) and for expected generations to the optimum
+conditioned on reaching it (the Doob h-transform of the transient chain).
+
+Every solve is a level-ordered back-substitution, the fitness-level method
+used as a solver: an accepted move never lowers the state fitness
+c + k + w * p, so I - Q is block triangular in fitness order, and each level
+of the lumped chain holds at most 4 states.  A brute-force full-state chain
+(every bitstring enumerated, solved the same way) validates the lumping at
+small n.
 """
 
 from __future__ import annotations
@@ -42,9 +47,6 @@ class LumpedState:
     prev_first: int
     cur_first: int
     k: int
-
-    def index(self, n: int) -> int:
-        return (self.prev_first * 2 + self.cur_first) * n + self.k
 
 
 def lumped_index(prev_first: int, cur_first: int, k: int, n: int) -> int:
@@ -195,72 +197,97 @@ class AbsorptionResult:
         return 1.0 - self.overall["optimum"]
 
 
-def _transient_system(P: np.ndarray, tr: np.ndarray):
-    """Equilibrated (I - Q) over the transient states ``tr``.
+def _solve_levels(P: np.ndarray, fitness: np.ndarray, unknown: np.ndarray,
+                  x: np.ndarray, chain: str, b: float = 0.0,
+                  h: np.ndarray | None = None) -> np.ndarray:
+    """Solve esc_i x_i - sum_{j != i} P_ij g_ij x_j = b for every state i in
+    ``unknown``, where esc_i = sum_{j != i} P_ij, g_ij = h_j / h_i under the
+    Doob transform ``h`` (else 1), and ``x`` holds the known values outside
+    ``unknown`` and zeros on it.
 
-    The diagonal 1 - P[i, i] is assembled as the direct sum of off-diagonal
-    mass rather than by subtraction: states whose escape probability is many
-    orders below 1 (deep quasi-traps at intermediate negative weights) would
-    otherwise cancel to a singular diagonal.  Rows are then scaled by the
-    escape mass, which turns the system into the well-conditioned embedded
-    jump chain; right-hand sides must be scaled by the same ``esc`` vector.
+    Accepted moves never lower the state fitness, so I - Q is block
+    triangular in fitness order: x is filled in place one level at a time,
+    from the top down, each level needing only the levels above it.  A row
+    with mass on a lower level is refused, since back-substitution would
+    drop that mass.  The diagonal is the direct sum of off-diagonal mass, not
+    1 - P_ii, which would cancel to zero at deep quasi-traps; rows are then
+    scaled by it, giving the well-conditioned embedded jump chain.  Each
+    block's residual is checked on the scaled system, or under ``h`` on the
+    unscaled (I - Qh) x = b, the norms the dense solves used.
     """
-    off = P[tr].copy()
-    off[np.arange(tr.size), tr] = 0.0
-    esc = off.sum(axis=1)
-    if esc.min() <= 0.0:
-        raise RuntimeError(
-            "a transient state has no representable escape probability; "
-            "the chain does not absorb from it in double precision")
-    A = -off[:, tr]
-    A[np.arange(tr.size), np.arange(tr.size)] = esc
-    A /= esc[:, None]
-    return A, esc, off
+    tol = _SOLVE_RESIDUAL_TOL if h is None else _HIT_RESIDUAL_TOL
+    f_unknown = fitness[unknown]
+    for f in np.unique(f_unknown)[::-1]:
+        level = unknown[f_unknown == f]
+        diag = np.arange(level.size)
+        rows = P[level]
+        rows[diag, level] = 0.0
+        esc = rows.sum(axis=1)
+        if esc.min() <= 0.0:
+            raise RuntimeError(
+                f"{chain}: transient state {level[esc.argmin()]} (fitness {f}) has no "
+                f"representable escape probability (escape mass {esc.min():.3g}); "
+                "the chain does not absorb from it in double precision")
+        down = rows @ (fitness < f)
+        if down.max() > 0.0:
+            raise RuntimeError(
+                f"{chain}: transient state {level[down.argmax()]} (fitness {f}) moves "
+                f"to a lower fitness with probability {down.max():.3g}")
+        if h is not None:
+            rows *= h[None, :] / h[level, None]
+        A = -rows[:, level]
+        A[diag, diag] = esc
+        A /= esc[:, None]
+        rhs = (b + rows @ x) / esc[:, None]
+        try:
+            x[level] = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"{chain}: transient block at fitness {f} is singular: "
+                               "some states never absorb") from exc
+        residual = np.abs(A @ x[level] - rhs) * (1.0 if h is None else esc[:, None])
+        if residual.max() > tol:
+            raise RuntimeError(f"{chain}: solve residual {residual.max():.3g} at "
+                               f"fitness {f} exceeds tolerance {tol:g}")
+    return x
 
 
-def _solve_absorption(P: np.ndarray, cls: np.ndarray) -> np.ndarray:
+def _solve_absorption(P: np.ndarray, cls: np.ndarray, fitness: np.ndarray,
+                      chain: str) -> np.ndarray:
     """Per-state absorption probabilities for a chain with labelled classes."""
-    m = P.shape[0]
-    per = np.zeros((m, len(CLASS_NAMES)))
+    per = np.zeros((P.shape[0], len(CLASS_NAMES)))
     absorbing = cls >= 0
     per[absorbing, cls[absorbing]] = 1.0
     tr = np.flatnonzero(~absorbing)
-    if tr.size:
-        A, esc, off = _transient_system(P, tr)
-        R = np.zeros((tr.size, len(CLASS_NAMES)))
-        for c in range(len(CLASS_NAMES)):
-            cols = np.flatnonzero(cls == c)
-            if cols.size:
-                R[:, c] = off[:, cols].sum(axis=1)
-        R /= esc[:, None]
-        try:
-            H = np.linalg.solve(A, R)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("transient chain is singular: some states never absorb") from exc
-        if np.abs(A @ H - R).max() > _SOLVE_RESIDUAL_TOL:
-            raise RuntimeError("absorption solve residual exceeds tolerance")
-        mass = H.sum(axis=1)
-        if mass.min() < 1.0 - _ABSORB_MASS_TOL:
-            raise RuntimeError(
-                "chain is not almost surely absorbed (transient absorption mass "
-                f"{mass.min():.12f}); the dynamics model is inconsistent")
-        per[tr] = H
-    sums = per.sum(axis=1)
-    if np.abs(sums - 1.0).max() > _ROW_SUM_TOL:
-        raise RuntimeError("per-state class probabilities do not sum to 1")
+    mass = _solve_levels(P, fitness, tr, per, chain)[tr].sum(axis=1)
+    if tr.size and mass.min() < 1.0 - _ABSORB_MASS_TOL:
+        raise RuntimeError(
+            f"{chain}: chain is not almost surely absorbed (transient absorption "
+            f"mass {mass.min():.12f}); the dynamics model is inconsistent")
+    sums_err = np.abs(per.sum(axis=1) - 1.0).max()
+    if sums_err > _ROW_SUM_TOL:
+        raise RuntimeError(f"{chain}: per-state class probabilities miss 1 by {sums_err:.3g}")
     if per.min() < -_PROB_RANGE_TOL or per.max() > 1.0 + _PROB_RANGE_TOL:
-        raise RuntimeError("absorption probabilities outside [0, 1] beyond tolerance")
+        raise RuntimeError(f"{chain}: absorption probabilities span [{per.min():.3g}, "
+                           f"{per.max():.3g}], outside [0, 1] beyond tolerance")
     np.clip(per, 0.0, 1.0, out=per)
     return per
 
 
-def absorption_probabilities(kind, w: int, n: int) -> AbsorptionResult:
-    """Exact per-start and overall absorption probabilities on the lumped chain."""
+def _lumped_solution(kind, w: int, n: int):
+    """Validated lumped chain: (w, label, P, classes, fitness, absorption)."""
     _require_single_parent(kind)
     w = check_weight(w)
+    chain = f"{kind.name} n={n} w={w}"
     P = build_transition_matrix(kind, w, n)
     cls = state_classes(kind, w, n)
-    per = _solve_absorption(P, cls)
+    pc, k = np.divmod(np.arange(4 * n), n)
+    fitness = pc % 2 + k + w * (pc // 2)
+    return w, chain, P, cls, fitness, _solve_absorption(P, cls, fitness, chain)
+
+
+def absorption_probabilities(kind, w: int, n: int) -> AbsorptionResult:
+    """Exact per-start and overall absorption probabilities on the lumped chain."""
+    w, _, _, cls, _, per = _lumped_solution(kind, w, n)
     pi = initial_distribution(n)
     overall = {name: float(pi @ per[:, c]) for c, name in enumerate(CLASS_NAMES)}
     return AbsorptionResult(kind, w, n, cls, per, overall)
@@ -327,7 +354,8 @@ def brute_force_absorption(kind, w: int, n: int) -> AbsorptionResult:
                 ev = classify_lumped(kind.name, w, n, prev, int(x & 1), int(ones[x] - (x & 1)))
                 if ev is not None:
                     cls_full[idx] = CLASS_NAMES.index(ev.value)
-    per_full = _solve_absorption(P, cls_full)
+    per_full = _solve_absorption(P, cls_full, np.concatenate([ones, ones + w]),
+                                 f"full-state {kind.name} n={n} w={w}")
     overall = {name: float(per_full[:, c].mean()) for c, name in enumerate(CLASS_NAMES)}
 
     # aggregate back to lumped indexing; exchangeability means every group is constant
@@ -368,34 +396,13 @@ class HittingTimeResult:
 def conditional_hitting_time(kind, w: int, n: int) -> HittingTimeResult:
     """Doob h-transform of the transient chain: reweight transitions by the
     optimum-absorption vector, then solve for expected steps to absorption."""
-    _require_single_parent(kind)
-    w = check_weight(w)
-    P = build_transition_matrix(kind, w, n)
-    cls = state_classes(kind, w, n)
-    per = _solve_absorption(P, cls)
+    w, chain, P, cls, fitness, per = _lumped_solution(kind, w, n)
     h = per[:, 0]
-    m = 4 * n
-    times = np.full(m, np.nan)
-    times[cls == 0] = 0.0
-    tr = np.flatnonzero(cls < 0)
-    pos = tr[h[tr] > 1e-12]
-    if pos.size:
-        # same cancellation-free diagonal and row scaling as the absorption
-        # solve, with off-diagonal transitions reweighted by the h-transform
-        off = P[pos].copy()
-        off[np.arange(pos.size), pos] = 0.0
-        esc = off.sum(axis=1)
-        hp = h[pos]
-        A = -off[:, pos] * (hp[None, :] / hp[:, None])
-        A[np.arange(pos.size), np.arange(pos.size)] = esc
-        b = np.ones(pos.size)
-        A /= esc[:, None]
-        b /= esc
-        tau = np.linalg.solve(A, b)
-        # the residual of the unscaled system (I - Qh) tau = 1
-        if (np.abs(A @ tau - b) * esc).max() > _HIT_RESIDUAL_TOL:
-            raise RuntimeError("conditioned hitting-time solve residual exceeds tolerance")
-        times[pos] = tau
+    pos = np.flatnonzero((cls < 0) & (h > 1e-12))
+    times = _solve_levels(P, fitness, pos, np.zeros((4 * n, 1)), chain, b=1.0, h=h)[:, 0]
+    unreached = cls != 0
+    unreached[pos] = False
+    times[unreached] = np.nan
     pi = initial_distribution(n)
     weights = pi * h
     reachable = weights > 0

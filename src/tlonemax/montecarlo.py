@@ -96,6 +96,17 @@ def _trial_summary(args) -> tuple[str, str | None, int]:
             out.generations)
 
 
+def _run_trials(cfg: ExperimentConfig, workers: int) -> list:
+    """Summaries of cfg's trials in trial order, serially or on a process pool."""
+    args = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget,
+             split_seed(cfg.master_seed, i)) for i in range(cfg.trials)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_trial_summary, args,
+                                 chunksize=max(1, cfg.trials // (8 * workers))))
+    return [_trial_summary(a) for a in args]
+
+
 def estimate(cfg: ExperimentConfig, workers: int = 1, z: float = 1.96) -> EstimateResult:
     """Run cfg.trials independent seeded trials and aggregate.
 
@@ -104,15 +115,7 @@ def estimate(cfg: ExperimentConfig, workers: int = 1, z: float = 1.96) -> Estima
     returned.
     """
     t0 = time.perf_counter()
-    args = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget,
-             split_seed(cfg.master_seed, i)) for i in range(cfg.trials)]
-    if workers > 1:
-        chunk = max(1, cfg.trials // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_trial_summary, args, chunksize=chunk))
-    else:
-        summaries = [_trial_summary(a) for a in args]
-
+    summaries = _run_trials(cfg, workers)
     counts = {"event1": 0, "event2": 0, "event3": 0}
     successes = 0
     undecided = 0
@@ -178,15 +181,7 @@ def runtime_scaling(kind: AlgorithmKind, w: int, ns: list[int], trials: int,
         cfg = ExperimentConfig(kind=kind, n=n, w=w, trials=trials,
                                budget=budget if budget is not None else default_budget(n),
                                master_seed=split_seed(master_seed, n))
-        args = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget,
-                 split_seed(cfg.master_seed, i)) for i in range(cfg.trials)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                summaries = list(pool.map(_trial_summary, args,
-                                          chunksize=max(1, trials // (8 * workers))))
-        else:
-            summaries = [_trial_summary(a) for a in args]
-        gens = np.asarray([g for status, _, g in summaries
+        gens = np.asarray([g for status, _, g in _run_trials(cfg, workers)
                            if status == TrialStatus.OPTIMUM.value], dtype=float)
         mean = float(gens.mean()) if gens.size else math.nan
         std = float(gens.std(ddof=1)) if gens.size > 1 else math.nan

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tlonemax as tl
-from tlonemax.markov import (LumpedState, binomial_pmf, lumped_index,
-                             state_from_index)
+from tlonemax.markov import (LumpedState, _solve_levels, binomial_pmf,
+                             lumped_index, state_from_index)
 
 
 class TestTransitionRow:
@@ -34,7 +35,7 @@ class TestTransitionRow:
                 for k in (0, 3, n - 1):
                     s = LumpedState(c, c, k)
                     row = tl.transition_row(tl.ONE_PLUS_ONE_EA, w, n, s)
-                    assert row[s.index(n)] >= floor - 1e-12
+                    assert row[lumped_index(c, c, k, n)] >= floor - 1e-12
 
     def test_row_against_mutation_sampling(self):
         # empirical row from 1e6 mutate+accept draws, 4 sigma agreement
@@ -146,6 +147,83 @@ class TestAbsorption:
         neg = tl.absorption_probabilities(tl.ONE_PLUS_ONE_EA, -3, 10)
         assert neg.overall["event3"] == 0
         assert neg.overall["event1"] > 0 and neg.overall["event2"] > 0
+
+
+def _rational_lumped_rows(kind, w, n):
+    """Lumped transition rows in exact rational arithmetic, straight from the
+    operators: one uniform bit flip (rls), or every bit flipped with
+    probability 1/n (ea); rejected offspring stay put."""
+    q = Fraction(1, n)
+    m = 4 * n
+    rows = []
+    for idx in range(m):
+        pc, k = divmod(idx, n)
+        p, c = divmod(pc, 2)
+        if kind.name == "rls":
+            moves = [(1 - c, k, q), (c, k - 1, k * q), (c, k + 1, (n - 1 - k) * q)]
+        else:
+            moves = [(c ^ f, k - d + u,
+                      (q if f else 1 - q)
+                      * math.comb(k, d) * q**d * (1 - q) ** (k - d)
+                      * math.comb(n - 1 - k, u) * q**u * (1 - q) ** (n - 1 - k - u))
+                     for f in (0, 1) for d in range(k + 1) for u in range(n - k)]
+        row = [Fraction(0)] * m
+        for cp, kp, prob in moves:
+            if prob == 0:
+                continue
+            if cp + kp + w * c >= c + k + w * p:
+                row[(c * 2 + cp) * n + kp] += prob
+            else:
+                row[idx] += prob
+        assert sum(row) == 1
+        rows.append(row)
+    return rows
+
+
+def _rational_absorption(kind, w, n):
+    """Solve (I - Q) X = R over the transient states by Gauss-Jordan on
+    Fractions; returns {transient state: [probability per class]}."""
+    rows = _rational_lumped_rows(kind, w, n)
+    cls = tl.markov.state_classes(kind, w, n)
+    tr = [i for i in range(4 * n) if cls[i] < 0]
+    aug = [[int(i == j) - rows[i][j] for j in tr]
+           + [sum(rows[i][a] for a in range(4 * n) if cls[a] == c)
+              for c in range(len(tl.CLASS_NAMES))]
+           for i in tr]
+    t = len(tr)
+    for col in range(t):
+        piv = next(r for r in range(col, t) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(t):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return {i: row[t:] for i, row in zip(tr, aug)}
+
+
+class TestLevelSolver:
+    def test_matches_rational_oracle(self):
+        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
+            for n in (4, 6):
+                for w in (-n, -1, 0, 2):
+                    per = tl.absorption_probabilities(kind, w, n).per_state
+                    exact = _rational_absorption(kind, w, n)
+                    assert exact, (kind.name, n, w)
+                    for i, probs in exact.items():
+                        for c, prob in enumerate(probs):
+                            assert abs(per[i, c] - float(prob)) <= 1e-12, (kind.name, n, w, i)
+
+    def test_refuses_fitness_lowering_mass(self):
+        # state 0 is transient; state 1 is known at x = 1, state 2 at x = 0
+        P = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        x = np.array([[0.0], [1.0], [0.0]])
+        _solve_levels(P, np.array([1, 2, 1]), np.array([0]), x, "hand-built")
+        assert abs(x[0, 0] - 0.5) <= 1e-15
+        # the same chain with state 2 one fitness level below state 0
+        with pytest.raises(RuntimeError, match="lower fitness"):
+            _solve_levels(P, np.array([1, 2, 0]), np.array([0]), np.zeros((3, 1)),
+                          "hand-built")
 
 
 class TestHittingTimes:
