@@ -3,17 +3,17 @@
 Both mutation operators and the fitness are exchangeable over positions 2..n,
 so the full chain over (stored first bit, current bitstring) lumps exactly to
 4n states (stored first bit, current first bit, ones among positions 2..n).
-This module builds those lumped chains with exact transition probabilities
-and solves them for per-start and overall absorption probabilities (optimum
-vs each proven stagnation event) and for expected generations to the optimum
-conditioned on reaching it (the Doob h-transform of the transient chain).
+A lumped row is the algorithm's offspring law over (first bit, tail ones),
+the only place RLS and the (1+1) EA differ, then one shared selection step.
+The chains are solved for per-start and overall absorption probabilities
+(optimum vs each proven stagnation event) and for expected generations to
+the optimum conditioned on reaching it (the Doob h-transform).
 
 Every solve is a level-ordered back-substitution, the fitness-level method
 used as a solver: an accepted move never lowers the state fitness
 c + k + w * p, so I - Q is block triangular in fitness order, and each level
-of the lumped chain holds at most 4 states.  A brute-force full-state chain
-(every bitstring enumerated, solved the same way) validates the lumping at
-small n.
+of the lumped chain holds at most 4 states.  A brute-force full-state chain,
+with its own offspring matrix and selection step, validates the lumping.
 """
 
 from __future__ import annotations
@@ -72,80 +72,82 @@ def binomial_pmf(m: int, p: float) -> np.ndarray:
 def initial_distribution(n: int) -> np.ndarray:
     """Lumped law of uniform initialization: stored bit and current first bit
     fair coins, tail ones Binomial(n-1, 1/2), all independent."""
-    pk = binomial_pmf(n - 1, 0.5)
-    pi = np.empty(4 * n)
-    for pc in range(4):
-        pi[pc * n:(pc + 1) * n] = 0.25 * pk
-    return pi
+    _require_length(n)
+    return np.tile(0.25 * binomial_pmf(n - 1, 0.5), 4)
 
 
-def _require_single_parent(kind):
+def _require_length(n: int):
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+
+
+def _require_single_parent(kind, n: int):
     if not kind.single_parent:
         raise ValueError("exact chains exist for single-parent kinds only")
+    _require_length(n)
+
+
+def _offspring_law(kind, c: int, k: int, n: int) -> np.ndarray:
+    """Law of the offspring's (first bit c', tail ones k') for a parent with
+    first bit c and k tail ones, as a 2 x n array indexed [c', k'].
+
+    One-bit mutation flips the first bit, one of the k tail ones or one of
+    the n-1-k tail zeros.  Bit-wise mutation flips the first bit with
+    probability 1/n, independently of the tail, whose ones move k -> k' with
+    the convolution of Binomial(k, 1/n) down-flips and Binomial(n-1-k, 1/n)
+    up-flips.
+    """
+    law = np.zeros((2, n))
+    if kind.name == "rls":
+        law[1 - c, k] = 1.0 / n
+        if k > 0:
+            law[c, k - 1] = k / n
+        if k < n - 1:
+            law[c, k + 1] = (n - 1 - k) / n
+        return law
+    inv_n = 1.0 / n
+    tail = np.convolve(binomial_pmf(k, inv_n)[::-1], binomial_pmf(n - 1 - k, inv_n))
+    law[c] = (1.0 - inv_n) * tail
+    law[1 - c] = inv_n * tail
+    return law
+
+
+def _select(law: np.ndarray, w: int, n: int, p: int, c: int, k: int) -> np.ndarray:
+    """Row of state (p, c, k) given its offspring law: an offspring (c', k')
+    is accepted iff c' + k' + w * c >= c + k + w * p, and then the state
+    becomes (c, c', k'); rejected mass stays on (p, c, k).  Mathematically
+    the row is exactly stochastic; dividing out the ~1e-15 float dust keeps
+    absorption solves accurate at large n."""
+    accepted = np.arange(2)[:, None] + np.arange(n) + w * c >= c + k + w * p
+    row = np.zeros(4 * n)
+    row[2 * c * n:2 * (c + 1) * n] = np.where(accepted, law, 0.0).ravel()
+    row[lumped_index(p, c, k, n)] += law[~accepted].sum()
+    return row / row.sum()
 
 
 def transition_row(kind, w: int, n: int, s: LumpedState) -> np.ndarray:
-    """Exact one-generation transition distribution out of ``s``.
-
-    Rejected offspring mass stays on ``s``.  One-bit mutation yields at most
-    n+1 nonzero entries; bit-wise mutation splits mass over the first bit
-    (flip probability 1/n) times the exact convolution of the down-flip and
-    up-flip binomial counts over positions 2..n.
-    """
-    _require_single_parent(kind)
+    """Exact one-generation transition distribution out of ``s``: the
+    offspring law of ``kind`` at (s.cur_first, s.k), then the selection step.
+    One-bit mutation yields at most n+1 nonzero entries."""
+    _require_single_parent(kind, n)
     w = check_weight(w)
-    p, c, k = s.prev_first, s.cur_first, s.k
-    if not (0 <= k <= n - 1):
-        raise ValueError(f"k must lie in [0..{n - 1}], got {k}")
-    incumbent = c + k + w * p
-    row = np.zeros(4 * n)
-    self_idx = lumped_index(p, c, k, n)
-
-    if kind.name == "rls":
-        # first-bit flip
-        if (1 - c) + k + w * c >= incumbent:
-            row[lumped_index(c, 1 - c, k, n)] += 1.0 / n
-        else:
-            row[self_idx] += 1.0 / n
-        # one of the k tail ones flips down
-        if k > 0:
-            if c + k - 1 + w * c >= incumbent:
-                row[lumped_index(c, c, k - 1, n)] += k / n
-            else:
-                row[self_idx] += k / n
-        # one of the n-1-k tail zeros flips up
-        if k < n - 1:
-            if c + k + 1 + w * c >= incumbent:
-                row[lumped_index(c, c, k + 1, n)] += (n - 1 - k) / n
-            else:
-                row[self_idx] += (n - 1 - k) / n
-        return row
-
-    # bit-wise mutation: tail ones move k -> k' with the convolution of
-    # Binomial(k, 1/n) down-flips and Binomial(n-1-k, 1/n) up-flips
-    inv_n = 1.0 / n
-    down = binomial_pmf(k, inv_n)
-    up = binomial_pmf(n - 1 - k, inv_n)
-    tail = np.convolve(down[::-1], up)  # index k' in [0..n-1]
-    kp = np.arange(n)
-    for cp, p_first in ((c, 1.0 - inv_n), (1 - c, inv_n)):
-        accepted = (cp + kp + w * c) >= incumbent
-        mass = p_first * tail
-        base = lumped_index(c, cp, 0, n)
-        row[base:base + n] += np.where(accepted, mass, 0.0)
-        row[self_idx] += float(mass[~accepted].sum())
-    # mathematically the row is exactly stochastic; dividing out the ~1e-15
-    # float dust keeps absorption solves accurate at large n
-    row /= row.sum()
-    return row
+    if not (0 <= s.k <= n - 1):
+        raise ValueError(f"k must lie in [0..{n - 1}], got {s.k}")
+    law = _offspring_law(kind, s.cur_first, s.k, n)
+    return _select(law, w, n, s.prev_first, s.cur_first, s.k)
 
 
 def build_transition_matrix(kind, w: int, n: int) -> np.ndarray:
-    """Row-stochastic 4n x 4n lumped transition matrix."""
-    m = 4 * n
-    P = np.empty((m, m))
-    for idx in range(m):
-        P[idx] = transition_row(kind, w, n, state_from_index(idx, n))
+    """Row-stochastic 4n x 4n lumped transition matrix.  Each offspring law
+    serves both stored bits."""
+    _require_single_parent(kind, n)
+    w = check_weight(w)
+    P = np.empty((4 * n, 4 * n))
+    for c in (0, 1):
+        for k in range(n):
+            law = _offspring_law(kind, c, k, n)
+            for p in (0, 1):
+                P[lumped_index(p, c, k, n)] = _select(law, w, n, p, c, k)
     return P
 
 
@@ -155,7 +157,7 @@ def state_classes(kind, w: int, n: int) -> np.ndarray:
     The absorbing set is exactly the optimum states plus the classified
     stagnation events -- nothing speculative.
     """
-    _require_single_parent(kind)
+    _require_single_parent(kind, n)
     cls = np.full(4 * n, -1, dtype=np.int64)
     for idx in range(4 * n):
         s = state_from_index(idx, n)
@@ -275,10 +277,9 @@ def _solve_absorption(P: np.ndarray, cls: np.ndarray, fitness: np.ndarray,
 
 def _lumped_solution(kind, w: int, n: int):
     """Validated lumped chain: (w, label, P, classes, fitness, absorption)."""
-    _require_single_parent(kind)
+    P = build_transition_matrix(kind, w, n)
     w = check_weight(w)
     chain = f"{kind.name} n={n} w={w}"
-    P = build_transition_matrix(kind, w, n)
     cls = state_classes(kind, w, n)
     pc, k = np.divmod(np.arange(4 * n), n)
     fitness = pc % 2 + k + w * (pc // 2)
@@ -300,80 +301,52 @@ def _popcounts(n_bits: int) -> np.ndarray:
 def brute_force_absorption(kind, w: int, n: int) -> AbsorptionResult:
     """Absorption on the unlumped chain over all 2 * 2**n full states.
 
-    Used solely to validate the lumping: results are aggregated back to
-    lumped indexing, with the within-group spread reported.  One-bit rows are
-    built by exhaustive offspring enumeration; bit-wise rows by the exact
-    per-bit product formula.
+    Used solely to validate the lumping, so it builds its rows without the
+    lumped code: the offspring law is a 2**n x 2**n matrix over bitstrings
+    read off the Hamming distance d (1/n at d = 1 for one-bit mutation, the
+    per-bit product (1/n)^d (1 - 1/n)^(n-d) for bit-wise mutation), and one
+    vectorised selection step turns it into rows.  Results are aggregated
+    back to lumped indexing, with the within-group spread reported.
     """
-    _require_single_parent(kind)
+    _require_single_parent(kind, n)
     w = check_weight(w)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
     B = 1 << n
-    m = 2 * B
+    X = np.arange(B)
     ones = _popcounts(n)
-    first = (np.arange(B) & 1).astype(np.int64)
-
-    P = np.zeros((m, m))
+    first = X & 1
+    dist = ones[X[:, None] ^ X]  # offspring law over bitstrings, from Hamming distances
     if kind.name == "rls":
-        for prev in (0, 1):
-            for x in range(B):
-                row = prev * B + x
-                incumbent = ones[x] + w * prev
-                x1 = x & 1
-                for i in range(n):
-                    y = x ^ (1 << i)
-                    if ones[y] + w * x1 >= incumbent:
-                        P[row, x1 * B + y] += 1.0 / n
-                    else:
-                        P[row, row] += 1.0 / n
+        M = (dist == 1) / n
     else:
-        inv_n = 1.0 / n
-        xor = np.arange(B)[:, None] ^ np.arange(B)[None, :]
-        dist = ones[xor]
-        M = (inv_n ** dist) * ((1.0 - inv_n) ** (n - dist))
-        X = np.arange(B)
-        for prev in (0, 1):
-            incumbent = ones + w * prev
-            acc = (ones[None, :] + (w * first)[:, None]) >= incumbent[:, None]
-            vals = np.where(acc, M, 0.0)
-            rows = (prev * B + X)[:, None]
-            cols = (first * B)[:, None] + X[None, :]
-            np.add.at(P, (np.broadcast_to(rows, vals.shape), np.broadcast_to(cols, vals.shape)), vals)
-            rejected = 1.0 - vals.sum(axis=1)
-            P[prev * B + X, prev * B + X] += rejected
+        M = (1.0 / n) ** dist * (1.0 - 1.0 / n) ** (n - dist)
+    del dist
+
+    # offspring y of (prev, x) is accepted iff ones(y) + w * x_1 >= ones(x) + w * prev,
+    # and the state then becomes (x_1, y); rejected mass stays on (prev, x)
+    P = np.zeros((2 * B, 2 * B))
+    for prev in (0, 1):
+        accepted = ones + w * first[:, None] >= (ones + w * prev)[:, None]
+        vals = np.where(accepted, M, 0.0)
+        for c in (0, 1):  # parents with first bit c are every other row from c
+            P[prev * B + c:(prev + 1) * B:2, c * B:(c + 1) * B] = vals[c::2]
+        P[prev * B + X, prev * B + X] += np.where(accepted, 0.0, M).sum(axis=1)
     P /= P.sum(axis=1, keepdims=True)
 
-    cls_full = np.full(m, -1, dtype=np.int64)
-    for prev in (0, 1):
-        for x in range(B):
-            idx = prev * B + x
-            if _is_optimum_parts(w, prev, int(ones[x]), n):
-                cls_full[idx] = 0
-            else:
-                ev = classify_lumped(kind.name, w, n, prev, int(x & 1), int(ones[x] - (x & 1)))
-                if ev is not None:
-                    cls_full[idx] = CLASS_NAMES.index(ev.value)
-    per_full = _solve_absorption(P, cls_full, np.concatenate([ones, ones + w]),
+    stored, x = np.divmod(np.arange(2 * B), B)
+    gidx = (2 * stored + first[x]) * n + ones[x] - first[x]
+    cls = state_classes(kind, w, n)
+    per_full = _solve_absorption(P, cls[gidx], ones[x] + w * stored,
                                  f"full-state {kind.name} n={n} w={w}")
     overall = {name: float(per_full[:, c].mean()) for c, name in enumerate(CLASS_NAMES)}
 
     # aggregate back to lumped indexing; exchangeability means every group is constant
-    gidx = np.empty(m, dtype=np.int64)
-    for prev in (0, 1):
-        gidx[prev * B:(prev + 1) * B] = (prev * 2 + first) * n + (ones - first)
     per_lumped = np.zeros((4 * n, len(CLASS_NAMES)))
-    spread = 0.0
-    for lidx in range(4 * n):
-        members = np.flatnonzero(gidx == lidx)
-        if members.size == 0:
-            continue
-        group = per_full[members]
-        mean = group.mean(axis=0)
-        per_lumped[lidx] = mean
-        spread = max(spread, float(np.abs(group - mean[None, :]).max()))
-    return AbsorptionResult(kind, w, n, state_classes(kind, w, n), per_lumped, overall,
-                            lumping_spread=spread)
+    np.add.at(per_lumped, gidx, per_full)
+    per_lumped /= np.bincount(gidx, minlength=4 * n)[:, None]
+    spread = float(np.abs(per_full - per_lumped[gidx]).max())
+    return AbsorptionResult(kind, w, n, cls, per_lumped, overall, lumping_spread=spread)
 
 
 @dataclass(eq=False)

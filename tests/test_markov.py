@@ -1,10 +1,16 @@
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tlonemax as tl
+from tlonemax.cli import EXIT_USAGE, main
 from tlonemax.markov import (LumpedState, _solve_levels, binomial_pmf,
                              lumped_index, state_from_index)
 
@@ -180,10 +186,9 @@ def _rational_lumped_rows(kind, w, n):
     return rows
 
 
-def _rational_absorption(kind, w, n):
-    """Solve (I - Q) X = R over the transient states by Gauss-Jordan on
-    Fractions; returns {transient state: [probability per class]}."""
-    rows = _rational_lumped_rows(kind, w, n)
+def _rational_absorption(kind, w, n, rows):
+    """Solve (I - Q) X = R over the transient states of the exact ``rows`` by
+    Gauss-Jordan on Fractions; returns {transient state: [probability per class]}."""
     cls = tl.markov.state_classes(kind, w, n)
     tr = [i for i in range(4 * n) if cls[i] < 0]
     aug = [[int(i == j) - rows[i][j] for j in tr]
@@ -207,8 +212,14 @@ class TestLevelSolver:
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
             for n in (4, 6):
                 for w in (-n, -1, 0, 2):
+                    rows = _rational_lumped_rows(kind, w, n)
+                    P = tl.build_transition_matrix(kind, w, n)
+                    for i, row in enumerate(rows):
+                        assert max(abs(P[i, j] - float(v)) for j, v in enumerate(row)) <= 1e-15
+                        s = state_from_index(i, n)
+                        assert np.array_equal(tl.transition_row(kind, w, n, s), P[i])
                     per = tl.absorption_probabilities(kind, w, n).per_state
-                    exact = _rational_absorption(kind, w, n)
+                    exact = _rational_absorption(kind, w, n, rows)
                     assert exact, (kind.name, n, w)
                     for i, probs in exact.items():
                         for c, prob in enumerate(probs):
@@ -224,6 +235,48 @@ class TestLevelSolver:
         with pytest.raises(RuntimeError, match="lower fitness"):
             _solve_levels(P, np.array([1, 2, 0]), np.array([0]), np.zeros((3, 1)),
                           "hand-built")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_chain_needs_two_bits(self, n, capsys):
+        calls = [lambda: tl.transition_row(tl.RLS, 2, n, LumpedState(0, 0, 0)),
+                 lambda: tl.build_transition_matrix(tl.RLS, 2, n),
+                 lambda: tl.markov.state_classes(tl.RLS, 2, n),
+                 lambda: tl.initial_distribution(n),
+                 lambda: tl.absorption_probabilities(tl.RLS, 2, n),
+                 lambda: tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, 2, n),
+                 lambda: tl.brute_force_absorption(tl.RLS, 2, n)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+                call()
+        code = main(["exact", "--algo", "rls", "--n", str(n), "--w", "2"])
+        assert code == EXIT_USAGE
+        assert f"n must be >= 2, got {n}" in capsys.readouterr().err
+
+    def test_known_defect_points_raise(self):
+        # ROADMAP open item 2 (log-domain level solve) is to turn these
+        # refusals into answers; until then they must fail loudly, naming
+        # the chain and the number that failed
+        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 67\.5 "):
+            tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -20, 40)
+        with pytest.raises(RuntimeError,
+                           match=r"ea n=200 w=200: transient state 400 .*escape mass 0\)"):
+            tl.absorption_probabilities(tl.ONE_PLUS_ONE_EA, 200, 200)
+
+
+def test_exact_demo_runs():
+    # the only demo that reads the brute-force chain and its lumping spread
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "03_exact_failure_probabilities.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    diff = re.search(r"max per-state difference: (\S+)", proc.stdout)
+    spread = re.search(r"within-group spread of the full chain: (\S+)", proc.stdout)
+    assert diff and spread, proc.stdout
+    assert float(diff.group(1)) <= 1e-10 and float(spread.group(1)) <= 1e-10
 
 
 class TestHittingTimes:
