@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .algorithms import (ONE_PLUS_ONE_EA, RLS, AlgorithmKind, PopulationMember,
                          TrialOutcome, TrialStatus, accept, mu_plus_one_ea,
-                         mutate_ea, mutate_rls, random_population, run_trial,
-                         split_seed, step, step_mu_plus_one)
+                         mutate_ea, mutate_rls, run_trial, split_seed, step)
 from .core import (MAX_WEIGHT, TLState, as_bits, fitness, is_global_optimum,
                    ones_count, random_bitstring, random_init)
 from .markov import (CLASS_NAMES, AbsorptionResult, HittingTimeResult,
@@ -32,8 +31,7 @@ __all__ = [
     "TLState", "PopulationMember", "TrialOutcome", "TrialStatus",
     "MAX_WEIGHT", "as_bits", "ones_count", "fitness", "is_global_optimum",
     "random_bitstring", "random_init",
-    "mutate_rls", "mutate_ea", "accept", "step", "step_mu_plus_one",
-    "random_population", "run_trial", "split_seed",
+    "mutate_rls", "mutate_ea", "accept", "step", "run_trial", "split_seed",
     "StagnationEvent", "classify", "is_absorbing_oracle",
     "CLASS_NAMES", "LumpedState", "AbsorptionResult", "HittingTimeResult",
     "transition_row", "build_transition_matrix", "initial_distribution",

@@ -1,11 +1,13 @@
-"""Steppers for the time-linkage RLS, (1+1) EA, and (mu+1) EA, plus trials.
+"""Steppers for the time-linkage RLS and (1+1) EA, plus trials of all three.
 
-All three algorithms evaluate an offspring against its parent's *current*
-first bit as the stored history, and accept when the offspring fitness is at
-least the parent's ("at least as good" selection).  A trial runs one seeded
-optimization to absorption: global optimum, a proven stagnation event, or
-budget exhaustion.  The generation counter g counts offspring fitness
-evaluations; the implicit evaluation of the initial state is not counted.
+The (mu+1) EA has no public per-generation stepper: ``run_trial`` steps its
+population.  All three algorithms evaluate an offspring against its parent's
+*current* first bit as the stored history, and accept when the offspring
+fitness is at least the parent's ("at least as good" selection).  A trial runs
+one seeded optimization to absorption: global optimum, a proven stagnation
+event, or budget exhaustion.  The generation counter g counts offspring
+fitness evaluations; the implicit evaluation of the initial state is not
+counted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TLState, _is_optimum_parts, fitness, is_global_optimum, random_init
+from .core import (TLState, _is_optimum_parts, check_weight, fitness, is_global_optimum,
+                   random_init)
 from .stagnation import StagnationEvent, classify
 
 
@@ -82,7 +85,7 @@ def step(kind: AlgorithmKind, w: int, state: TLState, rng: np.random.Generator) 
     elif kind.name == "ea":
         offspring = mutate_ea(state.current, rng)
     else:
-        raise ValueError("step() is for single-parent kinds; use step_mu_plus_one")
+        raise ValueError("step() is for single-parent kinds; run the (mu+1) EA with run_trial")
     if accept(w, state, offspring):
         return TLState(int(state.current[0]), offspring, state.t + 1, state.g + 1)
     return TLState(state.prev_first, state.current, state.t, state.g + 1)
@@ -97,43 +100,6 @@ class PopulationMember:
 
     def fitness(self, w: int) -> int:
         return fitness(w, self.prev_first, self.current)
-
-
-def random_population(mu: int, n: int, rng: np.random.Generator) -> list[PopulationMember]:
-    """mu members, each with an independent uniform (stored bit, bitstring).
-
-    The distribution of the initial stored solutions is not pinned down
-    anywhere authoritative; independent uniform initialization per member is
-    this package's choice.
-    """
-    members = []
-    for _ in range(mu):
-        s = random_init(n, rng)
-        members.append(PopulationMember(s.prev_first, s.current))
-    return members
-
-
-def step_mu_plus_one(mu: int, w: int, pop: list[PopulationMember],
-                     rng: np.random.Generator) -> list[PopulationMember]:
-    """One (mu+1) EA generation.
-
-    A uniformly chosen parent produces one bit-wise-mutation offspring that
-    stores the parent's current first bit; the single worst-fitness member of
-    the mu+1 (offspring included) is removed, ties broken uniformly at random.
-    With mu=1 this differs from the (1+1) EA's ">=" rule: a strictly worse
-    offspring can survive a fitness tie-break.
-    """
-    if len(pop) != mu:
-        raise ValueError(f"population must have {mu} members, got {len(pop)}")
-    parent = pop[int(rng.integers(mu))]
-    offspring = PopulationMember(int(parent.current[0]), mutate_ea(parent.current, rng))
-    fits = [m.fitness(w) for m in pop] + [offspring.fitness(w)]
-    worst = min(fits)
-    candidates = [i for i, f in enumerate(fits) if f == worst]
-    removed = candidates[int(rng.integers(len(candidates)))]
-    survivors = pop + [offspring]
-    del survivors[removed]
-    return survivors
 
 
 class TrialStatus(str, Enum):
@@ -170,6 +136,7 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    w = check_weight(w)
     rng = np.random.default_rng(int(seed))
     if kind.single_parent:
         return _run_single_parent(kind, w, n, budget, rng, observer)
@@ -203,19 +170,45 @@ def _run_single_parent(kind, w, n, budget, rng, observer):
     return TrialOutcome(TrialStatus.BUDGET, budget, None, state)
 
 
+def _mu_plus_one_generation(w, prevs, currents, fits, rng) -> bool:
+    """One (mu+1) EA generation, in place on the population arrays.
+
+    Rows 0..mu-1 of ``prevs`` (stored bits), ``currents`` (bitstrings) and
+    ``fits`` (their fitnesses) hold the population; row mu receives the
+    offspring.  A uniformly chosen parent produces one bit-wise-mutation
+    offspring that stores the parent's current first bit; the single
+    worst-fitness member of the mu+1 (offspring included) is removed, ties
+    broken uniformly at random.  With mu=1 this differs from the (1+1) EA's
+    ">=" rule: a strictly worse offspring can survive a fitness tie-break.
+
+    Randomness is drawn in the order parent index, mutation mask, tie-break
+    index.  The rows past the removed one shift up, so a surviving offspring
+    ends in row mu-1 and row mu still holds it.  Returns whether it survived.
+    """
+    mu, n = currents.shape[0] - 1, currents.shape[1]
+    j = int(rng.integers(mu))
+    offspring = currents[j] ^ (rng.random(n) < 1.0 / n)
+    prevs[mu] = currents[j, 0]
+    currents[mu] = offspring
+    fits[mu] = int(offspring.sum()) + w * int(prevs[mu])
+    candidates = np.flatnonzero(fits == fits.min())
+    removed = int(candidates[int(rng.integers(candidates.size))])
+    if removed == mu:
+        return False
+    prevs[removed:mu] = prevs[removed + 1:]
+    currents[removed:mu] = currents[removed + 1:]
+    fits[removed:mu] = fits[removed + 1:]
+    return True
+
+
 def _run_mu_plus_one(mu, w, n, budget, rng, observer):
-    # Hot path mirrors step_mu_plus_one exactly (same rng draw discipline:
-    # parent index, mutation mask, tie-break index) on cached fitness arrays.
-    prevs = np.empty(mu + 1, dtype=np.int64)
-    currents = np.empty((mu + 1, n), dtype=np.uint8)
-    ones = np.zeros(mu + 1, dtype=np.int64)
+    prevs = np.zeros(mu + 1, dtype=np.int64)
+    currents = np.zeros((mu + 1, n), dtype=np.uint8)
     for i in range(mu):
         s = random_init(n, rng)
         prevs[i] = s.prev_first
         currents[i] = s.current
-    ones[:mu] = currents[:mu].sum(axis=1)
-    fits = np.empty(mu + 1, dtype=np.int64)
-    fits[:mu] = ones[:mu] + w * prevs[:mu]
+    fits = currents.sum(axis=1, dtype=np.int64) + w * prevs
 
     def snapshot():
         return [PopulationMember(int(prevs[i]), currents[i].copy()) for i in range(mu)]
@@ -223,32 +216,12 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     if observer is not None:
         observer(0, snapshot(), True, None)
     for i in range(mu):
-        if _is_optimum_parts(w, int(prevs[i]), int(ones[i]), n):
+        if _is_optimum_parts(w, int(prevs[i]), int(fits[i] - w * prevs[i]), n):
             return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
-
-    inv_n = 1.0 / n
     for g in range(1, budget + 1):
-        j = int(rng.integers(mu))
-        offspring = currents[j] ^ (rng.random(n) < inv_n)
-        off_ones = int(offspring.sum())
-        off_prev = int(currents[j, 0])
-        prevs[mu] = off_prev
-        currents[mu] = offspring
-        ones[mu] = off_ones
-        fits[mu] = off_ones + w * off_prev
-        worst = int(fits.min())
-        candidates = np.flatnonzero(fits == worst)
-        removed = int(candidates[int(rng.integers(candidates.size))])
-        if removed != mu:
-            # keep the exact ordering of step_mu_plus_one: shift the tail left
-            # over the removed slot, the offspring ends up last
-            prevs[removed:mu] = prevs[removed + 1:mu + 1]
-            currents[removed:mu] = currents[removed + 1:mu + 1]
-            ones[removed:mu] = ones[removed + 1:mu + 1]
-            fits[removed:mu] = fits[removed + 1:mu + 1]
-        survived = removed != mu
+        survived = _mu_plus_one_generation(w, prevs, currents, fits, rng)
         if observer is not None:
             observer(g, snapshot(), survived, None)
-        if survived and _is_optimum_parts(w, off_prev, off_ones, n):
+        if survived and _is_optimum_parts(w, int(prevs[mu]), int(fits[mu] - w * prevs[mu]), n):
             return TrialOutcome(TrialStatus.OPTIMUM, g, None, snapshot())
     return TrialOutcome(TrialStatus.BUDGET, budget, None, snapshot())

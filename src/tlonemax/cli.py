@@ -211,9 +211,10 @@ def cmd_scaling(args) -> int:
 def cmd_trace(args) -> int:
     kind = _parse_kind(args.algo, None)
     budget = args.budget if args.budget is not None else default_budget(args.n)
-    print("g,t,prev_first,current,fitness,accepted,event")
 
     def observer(g, state, accepted, event):
+        if g == 0:  # run_trial has validated its inputs by now
+            print("g,t,prev_first,current,fitness,accepted,event")
         bits = "".join(str(int(b)) for b in state.current)
         print(f"{g},{state.t},{state.prev_first},{bits},{state.fitness(args.w)},"
               f"{int(accepted)},{event.value if event is not None else '-'}")

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chi2
 
 import tlonemax as tl
-from tlonemax.algorithms import step_mu_plus_one
+from tlonemax.algorithms import _mu_plus_one_generation
 
 
 def bits(s):
@@ -167,33 +167,53 @@ class TestTrajectoryEquivalence:
             assert _trace_hash(kind, -3, 10, 123) == _trace_hash(kind, -3, 10, 123)
 
 
+def population(w, members):
+    """Population arrays for _mu_plus_one_generation: (stored bit, bitstring)
+    rows, plus the empty offspring row mu."""
+    mu, n = len(members), len(members[0][1])
+    prevs = np.zeros(mu + 1, dtype=np.int64)
+    currents = np.zeros((mu + 1, n), dtype=np.uint8)
+    for i, (prev, current) in enumerate(members):
+        prevs[i], currents[i] = prev, bits(current)
+    return prevs, currents, currents.sum(axis=1, dtype=np.int64) + w * prevs
+
+
+def copy_population(arrays):
+    return tuple(a.copy() for a in arrays)
+
+
 class TestMuPlusOne:
     def test_population_size_preserved(self):
         rng = np.random.default_rng(8)
-        pop = tl.random_population(5, 6, rng)
+        members = []
+        for _ in range(5):
+            s = tl.random_init(6, rng)
+            members.append((s.prev_first, s.current))
+        prevs, currents, fits = population(-6, members)
         for _ in range(50):
-            pop = step_mu_plus_one(5, -6, pop, rng)
-            assert len(pop) == 5
+            _mu_plus_one_generation(-6, prevs, currents, fits, rng)
+            assert prevs.shape == fits.shape == (6,) and currents.shape == (6, 6)
+            assert (fits == currents.sum(axis=1, dtype=np.int64) - 6 * prevs).all()
 
     def test_uniform_tie_break_survival(self):
         # all mu+1 fitnesses equal: each member survives with prob mu/(mu+1);
         # a cloned rng predicts the offspring so we can condition on the tie
         mu, w = 3, 0
         rng = np.random.default_rng(9)
-        pop = [tl.PopulationMember(0, bits("1100")),
-               tl.PopulationMember(0, bits("1010")),
-               tl.PopulationMember(0, bits("0110"))]
-        marker = pop[0]
+        members = [(0, "1100"), (0, "1010"), (0, "0110")]
+        start = population(w, members)
         ties = survived = 0
         while ties < 2000:
             clone = np.random.default_rng(0)
             clone.bit_generator.state = rng.bit_generator.state
             j = int(clone.integers(mu))
-            off_fit = int(tl.mutate_ea(pop[j].current, clone).sum())
-            new = step_mu_plus_one(mu, w, list(pop), rng)
+            off_fit = int(tl.mutate_ea(bits(members[j][1]), clone).sum())
+            prevs, currents, fits = copy_population(start)
+            _mu_plus_one_generation(w, prevs, currents, fits, rng)
             if off_fit == 2:
                 ties += 1
-                survived += any(m is marker for m in new)
+                # removing the marker in row 0 shifts "1010" into it
+                survived += currents[0].tolist() == [1, 1, 0, 0]
         p_expected = mu / (mu + 1)
         sigma = math.sqrt(p_expected * (1 - p_expected) / ties)
         assert abs(survived / ties - p_expected) <= 3 * sigma
@@ -203,43 +223,46 @@ class TestMuPlusOne:
         # (stored 0, all-ones): fitness n+w <= 0 < n
         n, w = 4, -4
         rng = np.random.default_rng(10)
-        pop = [tl.PopulationMember(1, bits("1111")), tl.PopulationMember(0, bits("1111"))]
-        new = step_mu_plus_one(2, w, pop, rng)
-        fits = sorted(m.fitness(w) for m in new)
-        # the n+w = 0 member is gone unless the offspring tied it at the bottom
-        assert pop[1] in new
-        assert all(m.fitness(w) >= 0 for m in new)
-        assert fits[-1] == 4
+        prevs, currents, fits = population(w, [(1, "1111"), (0, "1111")])
+        _mu_plus_one_generation(w, prevs, currents, fits, rng)
+        # every offspring stores its parent's first bit 1, so a stored-0 row
+        # is the original member; it stays unless the offspring tied it at
+        # the bottom
+        assert any(p == 0 and c.all() for p, c in zip(prevs[:2], currents[:2]))
+        assert (fits[:2] >= 0).all()
+        assert fits[:2].max() == 4
 
     def test_strictly_worse_offspring_never_survives_mu1(self):
         # with mu=1 a strictly worse offspring is the unique worst and is
         # removed; only fitness ties can reject the parent's replacement
         rng = np.random.default_rng(11)
-        parent = tl.PopulationMember(1, bits("111111"))
+        parent = population(5, [(1, "111111")])
         for _ in range(300):
-            new = step_mu_plus_one(1, 5, [parent], rng)
-            assert len(new) == 1
-            assert new[0].fitness(5) >= parent.fitness(5)
+            prevs, currents, fits = copy_population(parent)
+            _mu_plus_one_generation(5, prevs, currents, fits, rng)
+            assert fits[0] == int(currents[0].sum()) + 5 * prevs[0]
+            assert fits[0] >= 11  # the parent's 6 ones + w
 
-    def test_fast_path_matches_public_stepper(self):
-        # run_trial's array loop must consume randomness exactly like
-        # step_mu_plus_one: same seed, same populations, step for step
-        mu, n, w, steps = 4, 6, -6, 60
-        seed = 77
-        snaps = []
+    def test_seeded_trajectories_pinned(self):
+        # every snapshot, accepted flag and outcome of run_trial's population
+        # loop, pinned so that a change to its randomness use or member order
+        # shows; the digest was recorded from the array loop while it still
+        # matched a list-based reference stepper step for step
+        h = hashlib.sha256()
 
         def obs(g, pop, accepted, event):
-            snaps.append([(m.prev_first, m.current.tolist()) for m in pop])
+            h.update(f"{g}|{int(accepted)}|".encode())
+            for m in pop:
+                h.update(bytes([m.prev_first]))
+                h.update(m.current.tobytes())
 
-        tl.run_trial(tl.mu_plus_one_ea(mu), w, n, steps, seed, observer=obs)
-
-        rng = np.random.default_rng(seed)
-        pop = tl.random_population(mu, n, rng)
-        ref = [[(m.prev_first, m.current.tolist()) for m in pop]]
-        for _ in range(steps):
-            pop = step_mu_plus_one(mu, w, pop, rng)
-            ref.append([(m.prev_first, m.current.tolist()) for m in pop])
-        assert snaps == ref[:len(snaps)]
+        n = 6
+        for mu in (1, 4, 8):
+            for w in (-n, 0, 5):
+                for seed in (0, 77):
+                    out = tl.run_trial(tl.mu_plus_one_ea(mu), w, n, 300, seed, observer=obs)
+                    h.update(f"{out.status.value}|{out.generations}".encode())
+        assert h.hexdigest() == "32deab284f47815bfdb0aaf1b43469378acbe88226bed428406a2029d9a9c52b"
 
 
 class TestRunTrial:
@@ -275,6 +298,11 @@ class TestRunTrial:
     def test_budget_zero_rejected(self):
         with pytest.raises(ValueError):
             tl.run_trial(tl.RLS, 0, 6, 0, seed=0)
+
+    def test_weight_outside_domain_rejected(self):
+        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA, tl.mu_plus_one_ea(3)):
+            with pytest.raises(ValueError, match=rf"\|w\| must be <= 2\*\*31, got {10**20}$"):
+                tl.run_trial(kind, 10**20, 8, 100, 0)
 
     def test_outcome_generation_never_exceeds_budget(self):
         for seed in range(20):

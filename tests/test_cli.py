@@ -164,6 +164,14 @@ class TestTrace:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [("--n", "4", "--w", str(10**20)),
+                                      ("--n", "1", "--w", "2"),
+                                      ("--n", "6", "--w", "2", "--budget", "0")],
+                             ids=["w-too-large", "n-too-small", "budget-zero"])
+    def test_refusal_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, "trace", "--algo", "rls", *argv)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+
 
 class TestReproduce:
     @pytest.mark.parametrize("theorem", [5, 7, 8, 9])

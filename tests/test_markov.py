@@ -265,18 +265,35 @@ class TestRefusals:
             tl.absorption_probabilities(tl.ONE_PLUS_ONE_EA, 200, 200)
 
 
-def test_exact_demo_runs():
+def _check_exact_demo(out):
     # the only demo that reads the brute-force chain and its lumping spread
+    diff = re.search(r"max per-state difference: (\S+)", out)
+    spread = re.search(r"within-group spread of the full chain: (\S+)", out)
+    assert diff and spread, out
+    assert float(diff.group(1)) <= 1e-10 and float(spread.group(1)) <= 1e-10
+
+
+def _check_population_demo(out):
+    # the tour of the (mu+1) EA: rescue at w = -n, identical runs below -n
+    success = re.search(r"population mu=30\s*: success (\S+)", out)
+    rows = re.findall(r"^ +\d+ +(\d+) +(\d+)$", out, re.MULTILINE)
+    assert success and len(rows) == 5, out
+    assert float(success.group(1)) >= 0.8
+    assert all(a == b for a, b in rows), rows
+
+
+@pytest.mark.parametrize("demo, check",
+                         [("03_exact_failure_probabilities", _check_exact_demo),
+                          ("06_population_rescue", _check_population_demo)],
+                         ids=["03_exact_failure_probabilities", "06_population_rescue"])
+def test_demo_runs(demo, check):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(root / "demos" / "03_exact_failure_probabilities.py")],
+    proc = subprocess.run([sys.executable, str(root / "demos" / f"{demo}.py")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    diff = re.search(r"max per-state difference: (\S+)", proc.stdout)
-    spread = re.search(r"within-group spread of the full chain: (\S+)", proc.stdout)
-    assert diff and spread, proc.stdout
-    assert float(diff.group(1)) <= 1e-10 and float(spread.group(1)) <= 1e-10
+    check(proc.stdout)
 
 
 class TestHittingTimes:
