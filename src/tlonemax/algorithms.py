@@ -34,7 +34,7 @@ class AlgorithmKind:
             raise ValueError(f"unknown algorithm kind {self.name!r}")
         if self.name == "mu-ea":
             if self.mu is None or self.mu < 1:
-                raise ValueError("mu-ea requires mu >= 1")
+                raise ValueError(f"mu-ea requires mu >= 1, got {self.mu}")
         elif self.mu is not None:
             raise ValueError(f"{self.name} takes no mu")
 
@@ -135,7 +135,7 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
     after initialization (g=0) and after every generation.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise ValueError(f"budget must be >= 1, got {budget}")
     w = check_weight(w)
     rng = np.random.default_rng(int(seed))
     if kind.single_parent:

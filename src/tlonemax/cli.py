@@ -2,7 +2,9 @@
 trial traces, and preset claim reproductions with machine-readable output.
 
 Exit codes: 0 success, 1 a reproduce verdict failed, 2 usage error.
-CSV schemas are fixed:
+``reproduce`` checks the rows of one table, ``CLAIMS``: every row is
+(algo, n, w, quantity, low, high) and yields the record
+algo, n, w, <quantity>, low, high, ok.  CSV schemas are fixed:
 
     estimate -> algo,n,w,trials,budget,seed,successes,event1,event2,event3,
                 undecided,p_success,ci_low,ci_high,mean_gen
@@ -173,7 +175,8 @@ def cmd_verify(args) -> int:
         reports.append(check_mutation_facts(n))
     if args.lemma in ("selection", "all"):
         extra = [-(n + 1), -2 * n, -10 * n]
-        reports.append(check_selection_equivalence(n, extra, seed=args.seed))
+        reports.append(check_selection_equivalence(n, extra, samples=args.samples,
+                                                   seed=args.seed))
     if args.lemma in ("ranks", "all"):
         # strictly below -n: at exactly -n the (stored 0, all-zeros) vs
         # (stored 1, all-ones) fitness tie breaks rank identity
@@ -233,109 +236,63 @@ def _theorem5_bound(n: float) -> float:
     return 1.0 - n * math.exp(-n ** (1.0 / 3.0) / math.e) - 4.0 / n ** (1.0 / 3.0)
 
 
-def _preset_failure_growth():
-    """Preset 4: exact failure at w = -n grows toward 1 and beats the bound."""
-    lines, records = [], []
-    fails = []
-    ok = True
-    for n in (20, 40, 80, 160):
-        res = absorption_probabilities(ONE_PLUS_ONE_EA, -n, n)
-        bound = _theorem5_bound(n)
-        fails.append(res.p_failure)
-        above = res.p_failure >= bound if bound > 0 else True
-        ok = ok and above
-        lines.append(f"ea n={n} w={-n}: failure={res.p_failure:.6f} "
-                     f"(closed-form lower bound {bound:.6f})")
-        records.append({"n": n, "w": -n, "p_failure": res.p_failure, "bound": bound})
-    nondecreasing = all(b >= a - 1e-12 for a, b in zip(fails, fails[1:]))
-    ok = ok and nondecreasing
-    lines.append(f"failure probabilities non-decreasing over n: {nondecreasing}")
-    return ok, records, lines
+#: Slack of a closed-form or probability-one check.
+_EXACT_TOL = 1e-10
 
-
-def _preset_failure_levels():
-    """Preset 5: exact failure at n=80 for mild to extreme negative weights."""
-    lines, records = [], []
-    n = 80
-    bound = max(_theorem5_bound(n), 0.0)
-    ok = True
-    for w in (-1, -n // 2, -n):
-        res = absorption_probabilities(ONE_PLUS_ONE_EA, w, n)
-        ok = ok and res.p_failure >= bound
-        lines.append(f"ea n={n} w={w}: failure={res.p_failure:.6f} "
-                     f"(must be >= positive part of bound, {bound:.6f})")
-        records.append({"n": n, "w": w, "p_failure": res.p_failure, "bound": bound})
-    return ok, records, lines
-
-
-def _preset_rls_failure_band():
-    """Preset 7: one-bit search at w >= 2 fails with probability 1/4 + 1/(2n)."""
-    lines, records = [], []
-    ok = True
-    for n in (10, 50, 200):
-        for w in (2, 5, n):
-            res = absorption_probabilities(RLS, w, n)
-            fail = res.p_failure
-            lo, hi = 0.25, 0.25 + 0.75 / n
-            closed = 0.25 + 0.5 / n
-            good = lo <= fail <= hi and abs(fail - closed) <= 1e-10
-            ok = ok and good
-            lines.append(f"rls n={n} w={w}: failure={fail:.12f} in [{lo},{hi:.6f}], "
-                         f"closed form {closed:.12f}")
-            records.append({"n": n, "w": w, "p_failure": fail, "closed_form": closed})
-    return ok, records, lines
-
-
-def _preset_probability_one(w: int):
-    lines, records = [], []
-    ok = True
-    for n in (10, 50, 200):
-        for kind, name in ((RLS, "rls"), (ONE_PLUS_ONE_EA, "ea")):
-            res = absorption_probabilities(kind, w, n)
-            good = abs(res.p_optimum - 1.0) <= 1e-10
-            ok = ok and good
-            lines.append(f"{name} n={n} w={w}: optimum probability {res.p_optimum:.12f}")
-            records.append({"algo": name, "n": n, "w": w, "p_optimum": res.p_optimum})
-    return ok, records, lines
-
-
-def _preset_population_rescue():
-    """Preset 10: the (mu+1) EA reaches the optimum where single parents stall."""
-    n, mu = THEOREM10_N, THEOREM10_MU
-    cfg = ExperimentConfig(kind=mu_plus_one_ea(mu), n=n, w=-n,
-                           trials=THEOREM10_TRIALS, budget=50 * mu * n,
-                           master_seed=PRESET_SEED)
-    res = estimate(cfg)
-    frac = res.p_success
-    ok = frac >= 0.8 and abs(frac - THEOREM10_PINNED_FRACTION) <= 0.05
-    lines = [f"mu-ea mu={mu} n={n} w={-n}: success fraction {frac:.3f} over "
-             f"{THEOREM10_TRIALS} trials (pinned {THEOREM10_PINNED_FRACTION}, "
-             f"threshold 0.8)"]
-    records = [{"algo": "mu-ea", "mu": mu, "n": n, "w": -n, "trials": THEOREM10_TRIALS,
-                "budget": 50 * mu * n, "p_success": frac,
-                "pinned": THEOREM10_PINNED_FRACTION}]
-    return ok, records, lines
-
-
-_PRESETS = {
-    4: _preset_failure_growth,
-    5: _preset_failure_levels,
-    7: _preset_rls_failure_band,
-    8: lambda: _preset_probability_one(0),
-    9: lambda: _preset_probability_one(1),
-    10: _preset_population_rescue,
+#: The preset claim table: theorem -> rows (algo, n, w, quantity, low, high),
+#: each checked as low <= value <= high.  rls/ea rows read the quantity off
+#: the exact absorption probabilities; the mu-ea row reads it off a seeded
+#: estimate at the fixed THEOREM10_* config.
+CLAIMS = {
+    # failure at w = -n grows toward 1 and beats the closed-form bound
+    4: [("ea", n, -n, "p_failure", _theorem5_bound(n), 1.0) for n in (20, 40, 80, 160)],
+    # failure at n = 80 for mild to extreme negative weights
+    5: [("ea", 80, w, "p_failure", max(_theorem5_bound(80), 0.0), 1.0)
+        for w in (-1, -40, -80)],
+    # one-bit search at w >= 2 fails with probability 1/4 + 1/(2n), which
+    # lies inside [1/4, 1/4 + 3/(4n)]
+    7: [("rls", n, w, "p_failure", 0.25 + 0.5 / n - _EXACT_TOL, 0.25 + 0.5 / n + _EXACT_TOL)
+        for n in (10, 50, 200) for w in (2, 5, n)],
+    # probability-1 convergence at w = 0 and w = 1
+    **{th: [(algo, n, w, "p_optimum", 1.0 - _EXACT_TOL, 1.0 + _EXACT_TOL)
+            for n in (10, 50, 200) for algo in ("rls", "ea")]
+       for th, w in ((8, 0), (9, 1))},
+    # the (mu+1) EA reaches the optimum at w = -n where single parents stall
+    10: [("mu-ea", THEOREM10_N, -THEOREM10_N, "p_success",
+          max(0.8, THEOREM10_PINNED_FRACTION - 0.05), THEOREM10_PINNED_FRACTION + 0.05)],
 }
 
 
+def _measure(algo: str, n: int, w: int, quantity: str) -> float:
+    if algo == "mu-ea":
+        cfg = ExperimentConfig(kind=mu_plus_one_ea(THEOREM10_MU), n=n, w=w,
+                               trials=THEOREM10_TRIALS, budget=50 * THEOREM10_MU * n,
+                               master_seed=PRESET_SEED)
+        return getattr(estimate(cfg), quantity)
+    return getattr(absorption_probabilities(_parse_kind(algo, None), w, n), quantity)
+
+
 def cmd_reproduce(args) -> int:
-    ok, records, lines = _PRESETS[args.theorem]()
+    records, lines = [], []
+    for algo, n, w, quantity, low, high in CLAIMS[args.theorem]:
+        value = _measure(algo, n, w, quantity)
+        ok = low <= value <= high
+        records.append({"algo": algo, "n": n, "w": w, quantity: value,
+                        "low": low, "high": high, "ok": ok})
+        lines.append(f"{algo} n={n} w={w}: {quantity}={value:.12f} "
+                     f"in [{low:.12g}, {high:.12g}]")
+    ok = all(r["ok"] for r in records)
+    if args.theorem == 4:  # the one cross-row rule: failure grows with n
+        fails = [r["p_failure"] for r in records]
+        growing = all(b >= a - 1e-12 for a, b in zip(fails, fails[1:]))
+        lines.append(f"p_failure non-decreasing over n: {growing}")
+        ok = ok and growing
     verdict = "PASS" if ok else "FAIL"
     if args.format == "json":
         _emit_json(make_record("reproduce", {"theorem": args.theorem},
                                {"verdict": verdict, "records": records}))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
         print(f"theorem {args.theorem}: {verdict}")
     return EXIT_OK if ok else EXIT_VERDICT_FAIL
 
@@ -397,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("reproduce", help="run a preset claim check")
-    p.add_argument("--theorem", type=int, required=True, choices=[4, 5, 7, 8, 9, 10])
+    p.add_argument("--theorem", type=int, required=True, choices=sorted(CLAIMS))
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_reproduce)
 

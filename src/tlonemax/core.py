@@ -30,6 +30,14 @@ def check_weight(w: int) -> int:
     return w
 
 
+def check_length(n: int) -> int:
+    """Validate the bitstring length and return it as a plain int."""
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    return n
+
+
 def as_bits(bits) -> np.ndarray:
     """Coerce a bit sequence (list, tuple, string, array) to a uint8 array.
 
@@ -111,9 +119,7 @@ def is_global_optimum(w: int, state: TLState) -> bool:
 
 def random_bitstring(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random bitstring of length n >= 2."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    return rng.integers(0, 2, size=check_length(n), dtype=np.uint8)
 
 
 def random_init(n: int, rng: np.random.Generator) -> TLState:
@@ -122,9 +128,7 @@ def random_init(n: int, rng: np.random.Generator) -> TLState:
     Draws the previous decision's first bit and the current bitstring
     independently and uniformly (the objective never reads any other bit of
     the previous decision, so only its first bit is generated and stored).
-    Counters start at t = 1, g = 0.
+    Counters start at t = 1, g = 0.  ``random_bitstring`` refuses n < 2.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     prev_first = int(rng.integers(0, 2))
     return TLState(prev_first=prev_first, current=random_bitstring(n, rng), t=1, g=0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import _is_optimum_parts, check_weight
+from .core import _is_optimum_parts, check_length, check_weight
 from .stagnation import classify_lumped
 
 #: Absorbing classes, in fixed column order.
@@ -72,19 +72,14 @@ def binomial_pmf(m: int, p: float) -> np.ndarray:
 def initial_distribution(n: int) -> np.ndarray:
     """Lumped law of uniform initialization: stored bit and current first bit
     fair coins, tail ones Binomial(n-1, 1/2), all independent."""
-    _require_length(n)
+    check_length(n)
     return np.tile(0.25 * binomial_pmf(n - 1, 0.5), 4)
-
-
-def _require_length(n: int):
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
 
 
 def _require_single_parent(kind, n: int):
     if not kind.single_parent:
         raise ValueError("exact chains exist for single-parent kinds only")
-    _require_length(n)
+    check_length(n)
 
 
 def _offspring_law(kind, c: int, k: int, n: int) -> np.ndarray:

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import AlgorithmKind, TrialStatus, run_trial, split_seed
-from .core import check_weight
+from .core import check_length, check_weight
 
 
 def default_budget(n: int) -> int:
     """100 * n * ln(n) generations: an order of magnitude above the expected
     conditional optimization time."""
+    n = check_length(n)
     return max(1, math.ceil(100.0 * n * math.log(n)))
 
 
@@ -38,12 +39,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_weight(self.w)
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        check_length(self.n)
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
 
 
 @dataclass

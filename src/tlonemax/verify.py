@@ -127,6 +127,8 @@ def check_selection_equivalence(n: int, extra_weights: list[int],
     that ``samples`` uniform triples are drawn.
     """
     extra_weights = [int(w) for w in extra_weights]
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     for w in extra_weights:
         if w >= -n:
             raise ValueError(f"extra weights must be < -n = {-n}, got {w}")
@@ -191,7 +193,7 @@ def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
     """
     weights = [int(w) for w in weights]
     if M < 1 or samples < 1:
-        raise ValueError("M and samples must be >= 1")
+        raise ValueError(f"M and samples must be >= 1, got M={M}, samples={samples}")
     for w in weights:
         if w > -n:
             raise ValueError(f"weights must be <= -n = {-n}, got {w}")

@@ -296,7 +296,7 @@ class TestRunTrial:
         assert hit
 
     def test_budget_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
             tl.run_trial(tl.RLS, 0, 6, 0, seed=0)
 
     def test_weight_outside_domain_rejected(self):
@@ -321,8 +321,10 @@ def test_split_seed_stable_and_order_independent():
 def test_algorithm_kind_validation():
     with pytest.raises(ValueError):
         tl.AlgorithmKind("bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu-ea requires mu >= 1, got None"):
         tl.AlgorithmKind("mu-ea")
+    with pytest.raises(ValueError, match="mu-ea requires mu >= 1, got 0"):
+        tl.mu_plus_one_ea(0)
     with pytest.raises(ValueError):
         tl.AlgorithmKind("rls", mu=3)
     assert tl.mu_plus_one_ea(4).mu == 4

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tlonemax.cli import EXIT_OK, EXIT_USAGE, main
+from tlonemax import cli
+from tlonemax.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL, main
 
 ESTIMATE_HEADER = ("algo,n,w,trials,budget,seed,successes,event1,event2,event3,"
                    "undecided,p_success,ci_low,ci_high,mean_gen")
@@ -130,6 +131,18 @@ class TestVerifyCmd:
         lines = out.strip().splitlines()
         assert lines[0] == "lemma,n,passed,worst_margin"
 
+    def test_selection_refuses_zero_samples(self, capsys):
+        code, out, err = run(capsys, "verify", "--lemma", "selection", "--n", "8",
+                             "--samples", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert "samples must be >= 1, got 0" in err
+
+    def test_selection_uses_samples(self, capsys):
+        code, out, _ = run(capsys, "verify", "--lemma", "selection", "--n", "8",
+                           "--samples", "500")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"][0]["grid"]["sampled_triples"] == 500
+
 
 class TestScaling:
     def test_csv_rows_per_n(self, capsys):
@@ -174,7 +187,7 @@ class TestTrace:
 
 
 class TestReproduce:
-    @pytest.mark.parametrize("theorem", [5, 7, 8, 9])
+    @pytest.mark.parametrize("theorem", [4, 5, 7, 8, 9])
     def test_fast_presets_pass(self, capsys, theorem):
         code, out, _ = run(capsys, "reproduce", "--theorem", str(theorem))
         assert code == EXIT_OK
@@ -185,6 +198,27 @@ class TestReproduce:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["result"]["verdict"] == "PASS"
+
+    def test_excluded_value_fails(self, capsys, monkeypatch):
+        # p_optimum is 1 at w = 0, outside these bounds
+        monkeypatch.setitem(cli.CLAIMS, 8, [("rls", 10, 0, "p_optimum", 0.0, 0.5)])
+        code, out, _ = run(capsys, "reproduce", "--theorem", "8")
+        assert code == EXIT_VERDICT_FAIL
+        assert out.strip().endswith("theorem 8: FAIL")
+        code, out, _ = run(capsys, "reproduce", "--theorem", "8", "--format", "json")
+        assert code == EXIT_VERDICT_FAIL
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "FAIL" and result["records"][0]["ok"] is False
+
+    def test_record_shape(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--theorem", "7", "--format", "json")
+        assert code == EXIT_OK
+        records = json.loads(out)["result"]["records"]
+        assert len(records) == 9
+        for rec in records:
+            assert set(rec) == {"algo", "n", "w", "p_failure", "low", "high", "ok"}
+            assert rec["algo"] == "rls" and rec["ok"] is True
+            assert abs(rec["p_failure"] - (0.25 + 0.5 / rec["n"])) <= 1e-10
 
     def test_unknown_theorem_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -246,13 +246,17 @@ class TestRefusals:
                  lambda: tl.initial_distribution(n),
                  lambda: tl.absorption_probabilities(tl.RLS, 2, n),
                  lambda: tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, 2, n),
-                 lambda: tl.brute_force_absorption(tl.RLS, 2, n)]
+                 lambda: tl.brute_force_absorption(tl.RLS, 2, n),
+                 lambda: tl.random_init(n, np.random.default_rng(0)),
+                 lambda: tl.default_budget(n),
+                 lambda: tl.ExperimentConfig(kind=tl.RLS, n=n, w=2, trials=1, budget=1)]
         for call in calls:
             with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
                 call()
-        code = main(["exact", "--algo", "rls", "--n", str(n), "--w", "2"])
-        assert code == EXIT_USAGE
-        assert f"n must be >= 2, got {n}" in capsys.readouterr().err
+        for argv in (["exact", "--algo", "rls", "--n", str(n), "--w", "2"],
+                     ["estimate", "--algo", "rls", "--n", str(n), "--w", "0"]):
+            assert main(argv) == EXIT_USAGE
+            assert f"n must be >= 2, got {n}" in capsys.readouterr().err
 
     def test_known_defect_points_raise(self):
         # ROADMAP open item 2 (log-domain level solve) is to turn these
@@ -282,10 +286,20 @@ def _check_population_demo(out):
     assert all(a == b for a, b in rows), rows
 
 
-@pytest.mark.parametrize("demo, check",
-                         [("03_exact_failure_probabilities", _check_exact_demo),
-                          ("06_population_rescue", _check_population_demo)],
-                         ids=["03_exact_failure_probabilities", "06_population_rescue"])
+def _check_prints(out):
+    # smoke coverage: the demo runs to the end and reports something
+    assert out.strip()
+
+
+# demo 04 is left out: it runs for about a minute
+_DEMOS = {"01_benchmark_tour": _check_prints,
+          "02_stagnation_anatomy": _check_prints,
+          "03_exact_failure_probabilities": _check_exact_demo,
+          "05_runtime_scaling": _check_prints,
+          "06_population_rescue": _check_population_demo}
+
+
+@pytest.mark.parametrize("demo, check", _DEMOS.items(), ids=list(_DEMOS))
 def test_demo_runs(demo, check):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -41,11 +41,11 @@ class TestWilson:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
             tl.ExperimentConfig(kind=tl.RLS, n=1, w=0, trials=10, budget=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
             tl.ExperimentConfig(kind=tl.RLS, n=5, w=0, trials=0, budget=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
             tl.ExperimentConfig(kind=tl.RLS, n=5, w=0, trials=10, budget=0)
         with pytest.raises(ValueError):
             tl.ExperimentConfig(kind=tl.RLS, n=5, w=2**40, trials=10, budget=10)

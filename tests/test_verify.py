@@ -76,6 +76,10 @@ class TestSelectionEquivalence:
         with pytest.raises(ValueError):
             tl.check_selection_equivalence(4, [-4])
 
+    def test_guard_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            tl.check_selection_equivalence(8, [-9], samples=0)
+
 
 class TestRankEquivalence:
     def test_passes_strictly_below_minus_n(self):
