@@ -1,9 +1,12 @@
 """Steppers for the time-linkage RLS and (1+1) EA, plus trials of all three.
 
-The (mu+1) EA has no public per-generation stepper: ``run_trial`` steps its
-population.  All three algorithms evaluate an offspring against its parent's
-*current* first bit as the stored history, and accept when the offspring
-fitness is at least the parent's ("at least as good" selection).  A trial runs
+``step`` is the named reference for one single-parent generation;
+``run_trial`` does not call it, but gives the same trial as iterating it
+while skipping rejected generations in blocks.  The (mu+1) EA has no public
+per-generation stepper: ``run_trial`` steps its population.  All three
+algorithms evaluate an offspring against its parent's *current* first bit as
+the stored history, and accept when the offspring fitness is at least the
+parent's ("at least as good" selection).  A trial runs
 one seeded optimization to absorption: global optimum, a proven stagnation
 event, or budget exhaustion.  The generation counter g counts offspring
 fitness evaluations; the implicit evaluation of the initial state is not
@@ -17,9 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (TLState, _is_optimum_parts, check_weight, fitness, is_global_optimum,
-                   random_init)
-from .stagnation import StagnationEvent, classify
+from .core import TLState, _is_optimum_parts, check_weight, fitness, random_init
+from .stagnation import StagnationEvent, classify_lumped
 
 
 @dataclass(frozen=True)
@@ -143,31 +145,108 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
     return _run_mu_plus_one(kind.mu, w, n, budget, rng, observer)
 
 
+#: Random doubles per drawn block of (1+1) EA masks (RLS: indices per block).
+_BLOCK_DRAWS = 1 << 16
+
+#: Rows of the first drawn block and of the first searched window.  Blocks
+#: double up to the cap, so short trials draw little past their end; the
+#: window doubles while nothing changes and restarts after each change, so a
+#: change costs little array work.
+_FIRST_ROWS = 16
+
+
+def _draw_flips(kind_name, n, k, rng):
+    """Positions flipped by the next k generations' mutations, in compressed
+    rows: row r flips cols[starts[r]:starts[r + 1]], and rows[i] is the row
+    of cols[i].
+
+    A block draw reads the generator's stream exactly as k per-generation
+    draws do: ``rng.integers(n, size=k)`` gives the values of k calls
+    ``rng.integers(n)``, and ``rng.random((k, n))`` the rows of k calls
+    ``rng.random(n)``.
+    """
+    if kind_name == "rls":
+        rows = np.arange(k)
+        return rows, rng.integers(n, size=k), np.arange(k + 1)
+    rows, cols = np.divmod(np.flatnonzero(rng.random((k, n)) < 1.0 / n), n)
+    return rows, cols, np.searchsorted(rows, np.arange(k + 1))
+
+
 def _run_single_parent(kind, w, n, budget, rng, observer):
-    state = random_init(n, rng)
-    event = classify(kind, w, state)
-    if observer is not None:
-        observer(0, state, True, event)
-    if is_global_optimum(w, state):
-        return TrialOutcome(TrialStatus.OPTIMUM, 0, None, state)
-    if event is not None:
-        return TrialOutcome(TrialStatus.STAGNATED, 0, event, state)
-    for _ in range(budget):
-        new = step(kind, w, state, rng)
-        accepted = new.t > state.t
-        state = new
-        event = None
-        if accepted:
-            if _is_optimum_parts(w, state.prev_first, int(state.current.sum()), n):
-                if observer is not None:
-                    observer(state.g, state, True, None)
-                return TrialOutcome(TrialStatus.OPTIMUM, state.g, None, state)
-            event = classify(kind, w, state)
+    """RLS and (1+1) EA trials on incremental counts, generation for
+    generation the same as iterating ``step`` from ``random_init``.
+
+    The state (prev, x) is kept with x1 = x[0] and its ones-count.  Mutations
+    are drawn in blocks, and each block is searched with array operations for
+    the next generation that changes the state: an offspring flipping the
+    positions F gains delta = sum over F of (1 - 2 x_j) ones and is accepted
+    iff delta >= w (prev - x1).  The generations before it were rejected or,
+    for an empty EA mask with prev == x1, accepted without any change; they
+    only advance g (and t), and are handed to the observer, if any, one by
+    one.  Each change makes a new bitstring, so no array handed out is
+    written again.
+    """
+    init = random_init(n, rng)
+    prev, x, t, g = init.prev_first, init.current, 1, 0
+    x1, ones = int(x[0]), int(x.sum())
+    gain = 1 - 2 * x.astype(np.int64)
+    cap = _BLOCK_DRAWS if kind.name == "rls" else max(1, _BLOCK_DRAWS // n)
+    block = _FIRST_ROWS
+    r = k = 0
+    while True:
+        # (prev, x) was just initialised or changed by generation g
+        state = TLState(prev, x, t, g)
+        optimum = _is_optimum_parts(w, prev, ones, n)
+        event = None if optimum else classify_lumped(kind.name, w, n, prev, x1, ones - x1)
         if observer is not None:
-            observer(state.g, state, accepted, event)
+            observer(g, state, True, event)
+        if optimum:
+            return TrialOutcome(TrialStatus.OPTIMUM, g, None, state)
         if event is not None:
-            return TrialOutcome(TrialStatus.STAGNATED, state.g, event, state)
-    return TrialOutcome(TrialStatus.BUDGET, budget, None, state)
+            return TrialOutcome(TrialStatus.STAGNATED, g, event, state)
+        window = _FIRST_ROWS
+        while True:
+            if r == k:
+                if g == budget:
+                    return TrialOutcome(TrialStatus.BUDGET, g, None, TLState(prev, x, t, g))
+                k, r = min(block, cap, budget - g), 0
+                block *= 2
+                rows, cols, starts = _draw_flips(kind.name, n, k, rng)
+                flips = np.diff(starts)
+                flipping, single = flips > 0, bool((flips == 1).all())
+            end = min(k, r + window)
+            lo, hi = starts[r], starts[end]
+            delta = gain[cols[lo:hi]]
+            if not single:
+                delta = np.bincount(rows[lo:hi] - r, weights=delta, minlength=end - r)
+            accepted = changes = delta >= w * (prev - x1)
+            if prev == x1 and not single:
+                # an empty mask is accepted and changes nothing
+                changes = accepted & flipping[r:end]
+            j = int(changes.argmax())
+            found = bool(changes[j])
+            if not found:
+                j = end - r
+            if observer is None:
+                t += int(np.count_nonzero(accepted[:j])) if changes is not accepted else 0
+                g += j
+            else:
+                for a in accepted[:j].tolist():
+                    g += 1
+                    t += a
+                    observer(g, TLState(prev, x, t, g), a, None)
+            r += j
+            if found:
+                break
+            window *= 2
+        x = x.copy()
+        for c in cols[starts[r]:starts[r + 1]].tolist():
+            x[c] ^= 1
+            gain[c] = -gain[c]
+        prev, x1, ones = x1, int(x[0]), ones + int(delta[j])
+        t += 1
+        g += 1
+        r += 1
 
 
 def _mu_plus_one_generation(w, prevs, currents, fits, rng) -> bool:

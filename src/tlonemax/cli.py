@@ -122,7 +122,8 @@ def cmd_estimate(args) -> int:
                            budget=budget, master_seed=args.seed)
     res = estimate(cfg, workers=args.workers)
     config = {"algo": args.algo, "mu": args.mu, "n": args.n, "w": args.w,
-              "trials": args.trials, "budget": budget, "seed": args.seed}
+              "trials": args.trials, "budget": budget, "seed": args.seed,
+              "workers": args.workers}
     if args.format == "json":
         _emit_json(make_record("estimate", config, asdict(res)))
     else:
@@ -201,7 +202,8 @@ def cmd_scaling(args) -> int:
                            master_seed=args.seed, budget=args.budget,
                            workers=args.workers)
     config = {"algo": args.algo, "mu": args.mu, "w": args.w, "ns": ns,
-              "trials": args.trials, "budget": args.budget, "seed": args.seed}
+              "trials": args.trials, "budget": args.budget, "seed": args.seed,
+              "workers": args.workers}
     if args.format == "json":
         _emit_json(make_record("scaling", config, [asdict(r) for r in rows]))
     else:

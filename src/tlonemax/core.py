@@ -48,9 +48,9 @@ def as_bits(bits) -> np.ndarray:
         bits = [int(b) for b in bits]
     x = np.asarray(bits, dtype=np.uint8)
     if x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError("bitstring must be one-dimensional with n >= 2")
+        raise ValueError(f"bitstring must be one-dimensional with n >= 2, got shape {x.shape}")
     if np.any(x > 1):
-        raise ValueError("bitstring entries must be 0 or 1")
+        raise ValueError(f"bitstring entries must be 0 or 1, got {int(x.max())}")
     return x
 
 

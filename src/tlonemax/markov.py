@@ -191,7 +191,9 @@ class AbsorptionResult:
 
     @property
     def p_failure(self) -> float:
-        return 1.0 - self.overall["optimum"]
+        """Sum of the event-class masses: 1 - p_optimum would cancel when the
+        failure probability is small."""
+        return sum(self.overall[name] for name in CLASS_NAMES[1:])
 
 
 def _solve_levels(P: np.ndarray, fitness: np.ndarray, unknown: np.ndarray,

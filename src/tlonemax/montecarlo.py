@@ -76,11 +76,11 @@ class EstimateResult:
 def wilson_ci(k: int, N: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for k successes out of N, clamped to [0, 1]."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValueError(f"N must be >= 1, got {N}")
     if not 0 <= k <= N:
-        raise ValueError("k must lie in [0..N]")
+        raise ValueError(f"k must lie in [0..{N}], got {k}")
     if z <= 0:
-        raise ValueError("z must be positive")
+        raise ValueError(f"z must be positive, got {z}")
     phat = k / N
     z2 = z * z
     denom = 1.0 + z2 / N
@@ -94,6 +94,11 @@ def _trial_summary(args) -> tuple[str, str | None, int]:
     out = run_trial(AlgorithmKind(kind_name, mu), w, n, budget, seed)
     return (out.status.value, out.event.value if out.event is not None else None,
             out.generations)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _run_trials(cfg: ExperimentConfig, workers: int) -> list:
@@ -112,8 +117,9 @@ def estimate(cfg: ExperimentConfig, workers: int = 1, z: float = 1.96) -> Estima
 
     The result is byte-identical for identical configs at any ``workers``
     value (wall time aside); per-trial errors propagate, nothing partial is
-    returned.
+    returned.  ``workers`` must be >= 1.
     """
+    _check_workers(workers)
     t0 = time.perf_counter()
     summaries = _run_trials(cfg, workers)
     counts = {"event1": 0, "event2": 0, "event3": 0}
@@ -171,8 +177,10 @@ def runtime_scaling(kind: AlgorithmKind, w: int, ns: list[int], trials: int,
 
     Only non-negative weights carry an optimization-time claim; negative
     weights are rejected.  Each n runs under its own derived master seed and
-    (unless overridden) the default 100 n ln n budget.
+    (unless overridden) the default 100 n ln n budget.  ``workers`` must be
+    >= 1.
     """
+    _check_workers(workers)
     check_weight(w)
     if w < 0:
         raise ValueError("runtime scaling is defined for w >= 0 only")

@@ -167,6 +167,112 @@ class TestTrajectoryEquivalence:
             assert _trace_hash(kind, -3, 10, 123) == _trace_hash(kind, -3, 10, 123)
 
 
+def reference_trial(kind, w, n, budget, seed, observer=None):
+    """The step-by-step single-parent trial, built from the public ``step``,
+    ``classify`` and ``is_global_optimum``: run_trial must agree with it."""
+    rng = np.random.default_rng(seed)
+    state = tl.random_init(n, rng)
+    event = tl.classify(kind, w, state)
+    if observer is not None:
+        observer(0, state, True, event)
+    if tl.is_global_optimum(w, state):
+        return tl.TrialOutcome(tl.TrialStatus.OPTIMUM, 0, None, state)
+    if event is not None:
+        return tl.TrialOutcome(tl.TrialStatus.STAGNATED, 0, event, state)
+    for _ in range(budget):
+        new = tl.step(kind, w, state, rng)
+        accepted = new.t > state.t
+        state = new
+        event = None
+        if accepted:
+            if tl.is_global_optimum(w, state):
+                if observer is not None:
+                    observer(state.g, state, True, None)
+                return tl.TrialOutcome(tl.TrialStatus.OPTIMUM, state.g, None, state)
+            event = tl.classify(kind, w, state)
+        if observer is not None:
+            observer(state.g, state, accepted, event)
+        if event is not None:
+            return tl.TrialOutcome(tl.TrialStatus.STAGNATED, state.g, event, state)
+    return tl.TrialOutcome(tl.TrialStatus.BUDGET, budget, None, state)
+
+
+def outcome_key(out):
+    s = out.final_state
+    return (out.status, out.event, out.generations, s.prev_first, s.current.tolist(), s.t, s.g)
+
+
+class Recorder:
+    """Observer that logs every call as plain values."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, g, s, accepted, event):
+        self.calls.append((g, s.t, s.g, s.prev_first, s.current.tobytes(), accepted, event))
+
+
+class TestSingleParentEngine:
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_matches_reference_stepper(self, kind):
+        # outcome, final state with t and g, and every observer call agree
+        for n in (2, 3, 5, 10, 20, 33):
+            for w in (-2 * n, -n - 1, -n, -3, -2, -1, 0, 1, 2, 5, n, 3 * n):
+                for budget in (1, 7, 400):
+                    for seed in (0, 1, 77):
+                        got, want = Recorder(), Recorder()
+                        out = tl.run_trial(kind, w, n, budget, seed, observer=got)
+                        ref = reference_trial(kind, w, n, budget, seed, observer=want)
+                        assert outcome_key(out) == outcome_key(ref), (n, w, budget, seed)
+                        assert got.calls == want.calls, (n, w, budget, seed)
+                        plain = tl.run_trial(kind, w, n, budget, seed)
+                        assert outcome_key(plain) == outcome_key(ref), (n, w, budget, seed)
+
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_long_trials_match_reference_stepper(self, kind):
+        # long enough to run through several drawn blocks at both block caps
+        for n, w, seed in ((64, 1, 3), (200, 0, 4), (40, 3, 5), (40, -3, 6)):
+            out = tl.run_trial(kind, w, n, 20000, seed)
+            ref = reference_trial(kind, w, n, 20000, seed)
+            assert outcome_key(out) == outcome_key(ref), (n, w, seed)
+
+    def test_seeded_trajectories_pinned(self):
+        # every observer call and outcome of rls and ea trials, recorded from
+        # the step-by-step loop that run_trial ran before it skipped rejected
+        # generations
+        h = hashlib.sha256()
+
+        def obs(g, s, accepted, event):
+            h.update(f"{g}|{s.t}|{s.prev_first}|{int(accepted)}|{event}|".encode())
+            h.update(s.current.tobytes())
+
+        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
+            for n in (5, 12, 40):
+                for w in (-n, -3, -1, 0, 1, 2, 5):
+                    for seed in (0, 77):
+                        out = tl.run_trial(kind, w, n, 500, seed, observer=obs)
+                        h.update(f"{out.status.value}|{out.event}|{out.generations}|"
+                                 f"{out.final_state.t}|{out.final_state.g}".encode())
+        assert h.hexdigest() == "705d3f04e30d4535f1639bd171ced9107435b5860c53b88df9c51b57bc0004d9"
+
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_handed_out_arrays_never_written(self, kind):
+        # observers may keep the states they are given (perfbench's counter
+        # classifies them after the trial)
+        kept = []
+
+        def keep(g, s, accepted, event):
+            kept.append((s, s.current.copy()))
+
+        for n, w in ((12, 1), (12, -3), (30, 0), (30, 4)):
+            for seed in range(3):
+                out = tl.run_trial(kind, w, n, 3000, seed, observer=keep)
+                kept.append((out.final_state, out.final_state.current.copy()))
+        assert len(kept) > 500
+        for s, snapshot in kept:
+            assert np.array_equal(s.current, snapshot)
+
+
 def population(w, members):
     """Population arrays for _mu_plus_one_generation: (stored bit, bitstring)
     rows, plus the empty offspring row mu."""

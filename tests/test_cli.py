@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -56,7 +57,18 @@ class TestEstimate:
                 "--trials", "40", "--seed", "9")
         _, out1, _ = run(capsys, *args, "--workers", "1")
         _, out2, _ = run(capsys, *args, "--workers", "2")
-        assert without_volatile(out1) == without_volatile(out2)
+        doc1, doc2 = without_volatile(out1), without_volatile(out2)
+        # the config records the worker count; nothing else differs
+        assert (doc1["config"].pop("workers"), doc2["config"].pop("workers")) == (1, 2)
+        assert doc1 == doc2
+
+    def test_workers_refused_below_one_and_recorded(self, capsys):
+        args = ("estimate", "--algo", "rls", "--n", "8", "--w", "0", "--trials", "3")
+        code, out, err = run(capsys, *args, "--workers", "-4")
+        assert code == EXIT_USAGE and out == ""
+        assert err.strip() == "error: workers must be >= 1, got -4"
+        code, out, _ = run(capsys, *args, "--workers", "2")
+        assert code == EXIT_OK and json.loads(out)["config"]["workers"] == 2
 
     def test_missing_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -159,8 +171,29 @@ class TestScaling:
                            "--ns", "8", "--trials", "5")
         assert code == EXIT_USAGE and err.strip()
 
+    def test_workers_refused_below_one_and_recorded(self, capsys):
+        args = ("scaling", "--algo", "rls", "--w", "0", "--ns", "8", "--trials", "3")
+        code, out, err = run(capsys, *args, "--workers", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert err.strip() == "error: workers must be >= 1, got 0"
+        code, out, _ = run(capsys, *args, "--workers", "1", "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["config"]["workers"] == 1
+
 
 class TestTrace:
+    def test_output_pinned(self, capsys):
+        # sha256 of the trace output over both kinds, five (n, w) and two
+        # seeds, recorded from the step-by-step trial loop
+        h = hashlib.sha256()
+        for algo in ("rls", "ea"):
+            for n, w in ((8, -2), (10, -10), (12, 3), (20, 1), (6, 0)):
+                for seed in (0, 4):
+                    code, out, _ = run(capsys, "trace", "--algo", algo, "--n", str(n),
+                                       "--w", str(w), "--seed", str(seed))
+                    assert code == EXIT_OK
+                    h.update(out.encode())
+        assert h.hexdigest() == "ef27963a556b60545a9adb64e45d9c28e0b9193f804bb307e109b4493b3c5a91"
+
     def test_terminates_with_outcome_line(self, capsys):
         code, out, _ = run(capsys, "trace", "--algo", "rls", "--n", "6", "--w", "-6",
                            "--seed", "1")

@@ -96,9 +96,11 @@ def test_random_init_ones_binomial_chisquare():
 def test_validation_guards():
     with pytest.raises(ValueError):
         tl.random_init(1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n >= 2, got shape \(1,\)$"):
         tl.as_bits("1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n >= 2, got shape \(2, 2\)$"):
+        tl.as_bits([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="entries must be 0 or 1, got 2$"):
         tl.as_bits([0, 2, 1])
     with pytest.raises(ValueError):
         tl.TLState(2, tl.as_bits("0101"))

@@ -207,6 +207,33 @@ def _rational_absorption(kind, w, n, rows):
     return {i: row[t:] for i, row in zip(tr, aug)}
 
 
+class TestEaWeightTwoFailure:
+    # ea at w = 2 fails with probability 1/n + (n-2)/(n 2^(n+1))
+    @staticmethod
+    def closed_form(n):
+        return Fraction(1, n) + Fraction(n - 2, n * 2 ** (n + 1))
+
+    def test_rational_oracle_matches_closed_form(self):
+        kind, w = tl.ONE_PLUS_ONE_EA, 2
+        for n in range(4, 9):
+            exact = _rational_absorption(kind, w, n, _rational_lumped_rows(kind, w, n))
+            cls = tl.markov.state_classes(kind, w, n)
+            failure = Fraction(0)
+            for i in range(4 * n):
+                # uniform start: stored and first bit fair, tail ones Bin(n-1, 1/2)
+                start = Fraction(math.comb(n - 1, i % n), 2 ** (n + 1))
+                failure += start * (sum(exact[i][1:]) if cls[i] < 0 else int(cls[i] > 0))
+            assert failure == self.closed_form(n), n
+            p = tl.absorption_probabilities(kind, w, n).p_failure
+            assert abs(p - float(failure)) <= 1e-12 * float(failure), n
+
+    def test_failure_is_summed_not_complemented(self):
+        # 1 - p_optimum loses about 4e-10 relative accuracy here
+        n = 1000
+        p = tl.absorption_probabilities(tl.ONE_PLUS_ONE_EA, 2, n).p_failure
+        assert abs(p / float(self.closed_form(n)) - 1) <= 1e-11
+
+
 class TestLevelSolver:
     def test_matches_rational_oracle(self):
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):

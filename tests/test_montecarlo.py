@@ -38,6 +38,16 @@ class TestWilson:
         with pytest.raises(ValueError):
             tl.wilson_ci(1, 4, z=0)
 
+    def test_guards_quote_the_value(self):
+        with pytest.raises(ValueError, match="N must be >= 1, got 0$"):
+            tl.wilson_ci(0, 0)
+        with pytest.raises(ValueError, match=r"k must lie in \[0\.\.4\], got 5$"):
+            tl.wilson_ci(5, 4)
+        with pytest.raises(ValueError, match=r"k must lie in \[0\.\.4\], got -1$"):
+            tl.wilson_ci(-1, 4)
+        with pytest.raises(ValueError, match="z must be positive, got -0.5$"):
+            tl.wilson_ci(1, 4, z=-0.5)
+
 
 class TestConfig:
     def test_validation(self):
@@ -112,6 +122,14 @@ class TestEstimate:
         r = tl.estimate(cfg)
         assert r.p_fail_proven <= r.p_fail_with_undecided
         assert r.p_fail_proven == (r.event1 + r.event2 + r.event3) / 400
+
+    def test_workers_below_one_rejected(self):
+        cfg = tl.ExperimentConfig(kind=tl.RLS, n=8, w=0, trials=3, budget=100)
+        for workers in (0, -4):
+            with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}$"):
+                tl.estimate(cfg, workers=workers)
+            with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}$"):
+                tl.runtime_scaling(tl.RLS, 0, [8], trials=3, workers=workers)
 
 
 class TestRuntimeScaling:
