@@ -3,20 +3,25 @@
 ``step`` is the named reference for one single-parent generation;
 ``run_trial`` does not call it, but gives the same trial as iterating it
 while skipping rejected generations in blocks.  The (mu+1) EA has no public
-per-generation stepper: ``run_trial`` steps its population.  All three
-algorithms evaluate an offspring against its parent's *current* first bit as
-the stored history, and accept when the offspring fitness is at least the
-parent's ("at least as good" selection).  A trial runs
-one seeded optimization to absorption: global optimum, a proven stagnation
-event, or budget exhaustion.  The generation counter g counts offspring
-fitness evaluations; the implicit evaluation of the initial state is not
-counted.
+per-generation stepper.  Its named reference is ``_mu_plus_one_generation``
+on population arrays; ``run_trial`` gives the same trial on fitness buckets
+(``_run_mu_plus_one``), where the members' birth-stamp order is their row
+order and the random calls come in the kernel's order: parent index,
+mutation mask, tie-break index.  All three algorithms evaluate an offspring
+against its parent's *current* first bit as the stored history; RLS and the
+(1+1) EA accept when the offspring fitness is at least the parent's ("at
+least as good" selection).  A trial runs one seeded optimization to
+absorption: global optimum, a proven stagnation event, or budget
+exhaustion.  The generation counter g counts offspring fitness evaluations;
+the implicit evaluation of the initial state is not counted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -250,7 +255,9 @@ def _run_single_parent(kind, w, n, budget, rng, observer):
 
 
 def _mu_plus_one_generation(w, prevs, currents, fits, rng) -> bool:
-    """One (mu+1) EA generation, in place on the population arrays.
+    """One (mu+1) EA generation, in place on the population arrays.  This is
+    the named reference for ``_run_mu_plus_one``; ``run_trial`` does not
+    call it.
 
     Rows 0..mu-1 of ``prevs`` (stored bits), ``currents`` (bitstrings) and
     ``fits`` (their fitnesses) hold the population; row mu receives the
@@ -280,27 +287,69 @@ def _mu_plus_one_generation(w, prevs, currents, fits, rng) -> bool:
     return True
 
 
+_stamp = itemgetter(0)
+
+
 def _run_mu_plus_one(mu, w, n, budget, rng, observer):
-    prevs = np.zeros(mu + 1, dtype=np.int64)
-    currents = np.zeros((mu + 1, n), dtype=np.uint8)
-    for i in range(mu):
+    """(mu+1) EA trials on fitness buckets, generation for generation the
+    same as iterating ``_mu_plus_one_generation`` on population arrays.
+
+    Each member is (birth stamp, stored bit, bitstring, ones).  Row order is
+    increasing stamp order: a removal keeps the order of the rest and a
+    surviving offspring goes last.  So ``rows`` lists the members in the
+    reference's row order, a member is found from its stamp by bisection,
+    and ``buckets[f]`` lists the stamps of fitness f in row order: the
+    tie-break's k-th minimum-fitness candidate is ``buckets[lo][k]``, with
+    the offspring, when tied, as the last one.
+
+    The random calls are the reference's: ``rng.integers(mu)``, then
+    ``rng.random(n)``, then the tie-break ``rng.integers(size)``, which is
+    skipped when size is 1 because numpy returns 0 for it without reading
+    the stream.  An offspring below the minimum fitness ``lo`` is that case
+    and is rejected without further work; its bitstring is built only when
+    it survives.  Bitstrings are never written after they are built, so the
+    snapshots handed out share them.
+    """
+    rows = []
+    buckets: dict[int, list[int]] = {}
+    for stamp in range(mu):
         s = random_init(n, rng)
-        prevs[i] = s.prev_first
-        currents[i] = s.current
-    fits = currents.sum(axis=1, dtype=np.int64) + w * prevs
+        ones = int(s.current.sum())
+        rows.append((stamp, s.prev_first, s.current, ones))
+        buckets.setdefault(ones + w * s.prev_first, []).append(stamp)
+    lo = min(buckets)
+    p = 1.0 / n
 
     def snapshot():
-        return [PopulationMember(int(prevs[i]), currents[i].copy()) for i in range(mu)]
+        return [PopulationMember(prev, x) for _, prev, x, _ in rows]
 
     if observer is not None:
         observer(0, snapshot(), True, None)
-    for i in range(mu):
-        if _is_optimum_parts(w, int(prevs[i]), int(fits[i] - w * prevs[i]), n):
-            return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
+    if any(_is_optimum_parts(w, prev, ones, n) for _, prev, _, ones in rows):
+        return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
     for g in range(1, budget + 1):
-        survived = _mu_plus_one_generation(w, prevs, currents, fits, rng)
+        _, _, x, ones = rows[int(rng.integers(mu))]
+        mask = rng.random(n) < p
+        for c in mask.nonzero()[0].tolist():
+            ones += 1 - 2 * int(x[c])
+        prev = int(x[0])  # the offspring stores its parent's first bit
+        fit = ones + w * prev
+        survived = fit >= lo
+        if survived:
+            bucket = buckets[lo]
+            size = len(bucket) + (fit == lo)
+            k = int(rng.integers(size)) if size > 1 else 0
+            survived = k < len(bucket)
+        if survived:
+            del rows[bisect_left(rows, bucket.pop(k), key=_stamp)]
+            stamp = mu + g  # above every earlier birth stamp
+            rows.append((stamp, prev, x ^ mask, ones))
+            buckets.setdefault(fit, []).append(stamp)
+            if not bucket:
+                del buckets[lo]
+                lo = min(buckets)
         if observer is not None:
             observer(g, snapshot(), survived, None)
-        if survived and _is_optimum_parts(w, int(prevs[mu]), int(fits[mu] - w * prevs[mu]), n):
+        if survived and _is_optimum_parts(w, prev, ones, n):
             return TrialOutcome(TrialStatus.OPTIMUM, g, None, snapshot())
     return TrialOutcome(TrialStatus.BUDGET, budget, None, snapshot())

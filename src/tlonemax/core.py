@@ -85,7 +85,7 @@ class TLState:
 
     def __post_init__(self):
         if self.prev_first not in (0, 1):
-            raise ValueError("prev_first must be 0 or 1")
+            raise ValueError(f"prev_first must be 0 or 1, got {self.prev_first}")
         if self.t < 1 or self.g < 0 or self.g < self.t - 1:
             raise ValueError(f"invalid counters t={self.t}, g={self.g}")
 

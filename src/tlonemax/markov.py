@@ -78,7 +78,7 @@ def initial_distribution(n: int) -> np.ndarray:
 
 def _require_single_parent(kind, n: int):
     if not kind.single_parent:
-        raise ValueError("exact chains exist for single-parent kinds only")
+        raise ValueError(f"exact chains exist for single-parent kinds only, got {kind.name!r}")
     check_length(n)
 
 

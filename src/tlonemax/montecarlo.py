@@ -183,7 +183,7 @@ def runtime_scaling(kind: AlgorithmKind, w: int, ns: list[int], trials: int,
     _check_workers(workers)
     check_weight(w)
     if w < 0:
-        raise ValueError("runtime scaling is defined for w >= 0 only")
+        raise ValueError(f"runtime scaling is defined for w >= 0 only, got {w}")
     rows = []
     for n in ns:
         cfg = ExperimentConfig(kind=kind, n=n, w=w, trials=trials,

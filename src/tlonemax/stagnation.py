@@ -70,7 +70,8 @@ def classify(kind, w: int, state: TLState) -> StagnationEvent | None:
     mutation); population-based variants have no proven absorbing event.
     """
     if not kind.single_parent:
-        raise ValueError("classification is defined for single-parent kinds only")
+        raise ValueError("classification is defined for single-parent kinds only, "
+                         f"got {kind.name!r}")
     cur_first = int(state.current[0])
     rest_ones = int(state.current[1:].sum())
     return classify_lumped(kind.name, w, state.n, state.prev_first, cur_first, rest_ones)
@@ -92,7 +93,8 @@ def is_absorbing_oracle(kind, w: int, state: TLState) -> bool:
     achievable offspring fitness matters and any n is accepted.
     """
     if not kind.single_parent:
-        raise ValueError("absorption oracle is defined for single-parent kinds only")
+        raise ValueError("absorption oracle is defined for single-parent kinds only, "
+                         f"got {kind.name!r}")
     x = state.current
     n = state.n
     incumbent = fitness(w, state.prev_first, x)

@@ -370,6 +370,86 @@ class TestMuPlusOne:
                     h.update(f"{out.status.value}|{out.generations}".encode())
         assert h.hexdigest() == "32deab284f47815bfdb0aaf1b43469378acbe88226bed428406a2029d9a9c52b"
 
+    def test_engine_matches_reference_kernel(self):
+        # outcome, final population and every observer call agree with the
+        # loop around the array kernel
+        for mu in (1, 2, 4, 8, 30):
+            for n in (2, 3, 6, 10):
+                for w in (-2 * n, -n, -1, 0, 1, 5, n):
+                    for budget in (1, 7, 400):
+                        for seed in (0, 1, 77):
+                            got, want = PopulationRecorder(), PopulationRecorder()
+                            out = tl.run_trial(tl.mu_plus_one_ea(mu), w, n, budget, seed,
+                                               observer=got)
+                            ref = reference_population_trial(mu, w, n, budget, seed,
+                                                             observer=want)
+                            case = (mu, n, w, budget, seed)
+                            assert population_key(out) == population_key(ref), case
+                            assert got.calls == want.calls, case
+
+    def test_handed_out_arrays_never_written(self):
+        # observers may keep the populations they are given
+        kept = []
+
+        def keep(g, pop, accepted, event):
+            kept.extend((m, m.prev_first, m.current.copy()) for m in pop)
+
+        for mu, n, w in ((1, 6, 2), (4, 8, -8), (8, 12, 0), (30, 10, -3)):
+            for seed in range(3):
+                out = tl.run_trial(tl.mu_plus_one_ea(mu), w, n, 500, seed, observer=keep)
+                kept.extend((m, m.prev_first, m.current.copy()) for m in out.final_state)
+        assert len(kept) > 5000
+        for m, prev, snapshot in kept:
+            assert m.prev_first == prev and np.array_equal(m.current, snapshot)
+
+
+def reference_population_trial(mu, w, n, budget, seed, observer=None):
+    """The (mu+1) EA trial as a loop around ``_mu_plus_one_generation``:
+    run_trial must agree with it."""
+    rng = np.random.default_rng(seed)
+    prevs = np.zeros(mu + 1, dtype=np.int64)
+    currents = np.zeros((mu + 1, n), dtype=np.uint8)
+    for i in range(mu):
+        s = tl.random_init(n, rng)
+        prevs[i], currents[i] = s.prev_first, s.current
+    fits = currents.sum(axis=1, dtype=np.int64) + w * prevs
+
+    def snapshot():
+        return [tl.PopulationMember(int(prevs[i]), currents[i].copy()) for i in range(mu)]
+
+    def optimum(i):
+        return tl.is_global_optimum(w, tl.TLState(int(prevs[i]), currents[i]))
+
+    if observer is not None:
+        observer(0, snapshot(), True, None)
+    if any(optimum(i) for i in range(mu)):
+        return tl.TrialOutcome(tl.TrialStatus.OPTIMUM, 0, None, snapshot())
+    for g in range(1, budget + 1):
+        survived = _mu_plus_one_generation(w, prevs, currents, fits, rng)
+        if observer is not None:
+            observer(g, snapshot(), survived, None)
+        if survived and optimum(mu):
+            return tl.TrialOutcome(tl.TrialStatus.OPTIMUM, g, None, snapshot())
+    return tl.TrialOutcome(tl.TrialStatus.BUDGET, budget, None, snapshot())
+
+
+def members_key(pop):
+    return tuple((m.prev_first, m.current.tobytes()) for m in pop)
+
+
+def population_key(out):
+    return (out.status, out.event, out.generations, members_key(out.final_state))
+
+
+class PopulationRecorder:
+    """Observer that logs every population it is given as plain values."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, g, pop, accepted, event):
+        self.calls.append((g, accepted, event, members_key(pop)))
+
 
 class TestRunTrial:
     def test_w0_always_reaches_optimum(self):

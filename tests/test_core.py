@@ -102,7 +102,7 @@ def test_validation_guards():
         tl.as_bits([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="entries must be 0 or 1, got 2$"):
         tl.as_bits([0, 2, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="prev_first must be 0 or 1, got 2$"):
         tl.TLState(2, tl.as_bits("0101"))
     with pytest.raises(ValueError):
         tl.TLState(0, tl.as_bits("0101"), t=3, g=1)

@@ -76,7 +76,7 @@ class TestTransitionRow:
         assert np.allclose(row, expected, atol=1e-15)
 
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="single-parent kinds only, got 'mu-ea'$"):
             tl.transition_row(tl.mu_plus_one_ea(2), 0, 4, LumpedState(0, 0, 0))
         with pytest.raises(ValueError):
             tl.transition_row(tl.RLS, 0, 4, LumpedState(0, 0, 4))

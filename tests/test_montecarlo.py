@@ -136,6 +136,8 @@ class TestRuntimeScaling:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             tl.runtime_scaling(tl.RLS, -1, [8, 16], trials=5)
+        with pytest.raises(ValueError, match="defined for w >= 0 only, got -3$"):
+            tl.runtime_scaling(tl.ONE_PLUS_ONE_EA, -3, [8], trials=5)
 
     def test_row_per_n_with_flags(self):
         rows = tl.runtime_scaling(tl.RLS, 0, [8, 16, 32], trials=10, master_seed=3)

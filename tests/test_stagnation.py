@@ -61,7 +61,7 @@ class TestClassify:
                             assert tl.classify(kind, w, s) is None
 
     def test_requires_single_parent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="single-parent kinds only, got 'mu-ea'$"):
             tl.classify(tl.mu_plus_one_ea(2), -4, state(0, "1010"))
 
 
@@ -89,7 +89,7 @@ class TestOracle:
         assert not tl.is_absorbing_oracle(tl.ONE_PLUS_ONE_EA, 0, TLState(0, np.zeros(40, dtype=np.uint8)))
 
     def test_requires_single_parent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="single-parent kinds only, got 'mu-ea'$"):
             tl.is_absorbing_oracle(tl.mu_plus_one_ea(2), -4, state(0, "1010"))
 
 
