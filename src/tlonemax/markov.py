@@ -3,17 +3,12 @@
 Both mutation operators and the fitness are exchangeable over positions 2..n,
 so the full chain over (stored first bit, current bitstring) lumps exactly to
 4n states (stored first bit, current first bit, ones among positions 2..n).
-A lumped row is the algorithm's offspring law over (first bit, tail ones),
-the only place RLS and the (1+1) EA differ, then one shared selection step.
-The chains are solved for per-start and overall absorption probabilities
-(optimum vs each proven stagnation event) and for expected generations to
-the optimum conditioned on reaching it (the Doob h-transform).
-
-Every solve is a level-ordered back-substitution, the fitness-level method
-used as a solver: an accepted move never lowers the state fitness
-c + k + w * p, so I - Q is block triangular in fitness order, and each level
-of the lumped chain holds at most 4 states.  A brute-force full-state chain,
-with its own offspring matrix and selection step, validates the lumping.
+A lumped row is sparse: the accepted window of one row of an offspring table
+built once per (kind, n), the only place RLS and the (1+1) EA differ, plus
+the rejected mass.  Level by level in fitness order, the chains are solved
+for absorption probabilities (optimum vs each proven stagnation event) and
+expected generations to the optimum given success (the Doob h-transform).
+A brute-force full-state chain validates the lumping.
 """
 
 from __future__ import annotations
@@ -22,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln
 
 from .core import _is_optimum_parts, check_length, check_weight
@@ -38,6 +34,7 @@ _HIT_RESIDUAL_TOL = 1e-8
 _ABSORB_MASS_TOL = 1e-8
 _PROB_RANGE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-10
+_CHUNK = 1 << 18  # stored entries per group of levels in the vectorised solver pass
 
 
 @dataclass(frozen=True)
@@ -58,15 +55,15 @@ def state_from_index(idx: int, n: int) -> LumpedState:
     return LumpedState(pc // 2, pc % 2, k)
 
 
+def _binomial_logpmf(m, k, p: float):
+    return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+            + k * math.log(p) + (m - k) * math.log1p(-p))
+
+
 def binomial_pmf(m: int, p: float) -> np.ndarray:
     """Binomial(m, p) pmf over 0..m, computed through log-factorials so that
     no term overflows even for m in the thousands."""
-    if m == 0:
-        return np.ones(1)
-    k = np.arange(m + 1)
-    logpmf = (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-              + k * math.log(p) + (m - k) * math.log1p(-p))
-    return np.exp(logpmf)
+    return np.exp(_binomial_logpmf(m, np.arange(m + 1), p))
 
 
 def initial_distribution(n: int) -> np.ndarray:
@@ -82,68 +79,81 @@ def _require_single_parent(kind, n: int):
     check_length(n)
 
 
-def _offspring_law(kind, c: int, k: int, n: int) -> np.ndarray:
-    """Law of the offspring's (first bit c', tail ones k') for a parent with
-    first bit c and k tail ones, as a 2 x n array indexed [c', k'].
-
-    One-bit mutation flips the first bit, one of the k tail ones or one of
-    the n-1-k tail zeros.  Bit-wise mutation flips the first bit with
-    probability 1/n, independently of the tail, whose ones move k -> k' with
-    the convolution of Binomial(k, 1/n) down-flips and Binomial(n-1-k, 1/n)
-    up-flips.
-    """
-    law = np.zeros((2, n))
+def _offspring_table(kind, n: int):
+    """(lo, same, flip): same[k, j] (flip[k, j]) is the probability that a
+    parent with k tail ones has an offspring that keeps (flips) its first bit
+    and has k' = k - lo + j tail ones (0 where k' is out of range).  One-bit
+    mutation flips one of the n bits.  Bit-wise mutation flips the first bit
+    with probability 1/n, and the tail gains Bin(n-1-k, 1/n) up-flips minus
+    Bin(k, 1/n) down-flips, each cut at D = 1 + the last index where
+    Bin(n-1, 1/n) is nonzero in double precision: at a fixed count the pmf
+    does not decrease in m <= n-1, so every later term is exactly 0 anyway."""
+    k = np.arange(n)[:, None]
     if kind.name == "rls":
-        law[1 - c, k] = 1.0 / n
-        if k > 0:
-            law[c, k - 1] = k / n
-        if k < n - 1:
-            law[c, k + 1] = (n - 1 - k) / n
-        return law
+        flip = np.tile([0.0, 1.0 / n, 0.0], (n, 1))
+        return 1, np.hstack([k / n, np.zeros((n, 1)), (n - 1 - k) / n]), flip
     inv_n = 1.0 / n
-    tail = np.convolve(binomial_pmf(k, inv_n)[::-1], binomial_pmf(n - 1 - k, inv_n))
-    law[c] = (1.0 - inv_n) * tail
-    law[1 - c] = inv_n * tail
-    return law
+    D = 1 + int(np.flatnonzero(binomial_pmf(n - 1, inv_n))[-1])
+    up = np.zeros((n, 3 * D - 2))
+    up[:, D - 1:2 * D - 1] = np.exp(_binomial_logpmf(n - 1 - k, np.arange(D), inv_n))
+    # k' - k = u - d: sum over d of P(d down-flips) * P(u = k' - k + d up-flips)
+    tail = np.einsum("kjd,kd->kj", np.lib.stride_tricks.sliding_window_view(up, D, axis=1),
+                     np.exp(_binomial_logpmf(k, np.arange(D), inv_n)))
+    return D - 1, (1.0 - inv_n) * tail, inv_n * tail
 
 
-def _select(law: np.ndarray, w: int, n: int, p: int, c: int, k: int) -> np.ndarray:
-    """Row of state (p, c, k) given its offspring law: an offspring (c', k')
-    is accepted iff c' + k' + w * c >= c + k + w * p, and then the state
-    becomes (c, c', k'); rejected mass stays on (p, c, k).  Mathematically
-    the row is exactly stochastic; dividing out the ~1e-15 float dust keeps
-    absorption solves accurate at large n."""
-    accepted = np.arange(2)[:, None] + np.arange(n) + w * c >= c + k + w * p
-    row = np.zeros(4 * n)
-    row[2 * c * n:2 * (c + 1) * n] = np.where(accepted, law, 0.0).ravel()
-    row[lumped_index(p, c, k, n)] += law[~accepted].sum()
-    return row / row.sum()
+def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
+    """CSR pieces (data, indices, counts) of rows moving to cols[i, j] with
+    accepted mass vals[i, j] and keeping their rejected mass on states[i],
+    divided by their sums (float dust costs accuracy); zeros are dropped."""
+    cols = np.broadcast_to(cols, vals.shape)
+    own = cols == states[:, None]
+    has_own = own.any(axis=1)
+    vals = np.hstack([vals, np.where(has_own, 0.0, rejected)[:, None]])
+    vals[:, :-1][own] += rejected[has_own]
+    cols = np.hstack([cols, states[:, None]], dtype=np.int32)
+    vals /= vals.sum(axis=1, keepdims=True)
+    keep = vals > 0.0
+    return vals[keep], cols[keep], keep.sum(axis=1)
+
+
+def _csr(blocks, size: int) -> sparse.csr_array:
+    data, indices, counts = zip(*blocks)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    indptr = indptr.astype(np.int32) if indptr[-1] < 2**31 else indptr
+    return sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
+                            shape=(size, size))
+
+
+def _lumped_rows(kind, w: int, n: int) -> sparse.csr_array:
+    """Lumped rows, CSR.  Offspring (c', k') of state (p, c, k) is accepted
+    iff c' + k' + w * c >= c + k + w * p, giving (c, c', k'): the columns
+    j >= lo + c - c' + w * (p - c) of table row k; rejected mass stays."""
+    _require_single_parent(kind, n)
+    w = check_weight(w)
+    lo, same, flip = _offspring_table(kind, n)
+    width, k, blocks = same.shape[1], np.arange(n), []
+    for p, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        t, u = (min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c))
+        cols = [(2 * c + cp) * n + k[:, None] - lo + np.arange(v, width)
+                for cp, v in ((c, t), (1 - c, u))]
+        blocks.append(_select_rows(np.hstack([same[:, t:], flip[:, u:]]), np.hstack(cols),
+                                   same[:, :t].sum(axis=1) + flip[:, :u].sum(axis=1),
+                                   lumped_index(p, c, k, n)))
+    return _csr(blocks, 4 * n)
 
 
 def transition_row(kind, w: int, n: int, s: LumpedState) -> np.ndarray:
-    """Exact one-generation transition distribution out of ``s``: the
-    offspring law of ``kind`` at (s.cur_first, s.k), then the selection step.
-    One-bit mutation yields at most n+1 nonzero entries."""
-    _require_single_parent(kind, n)
-    w = check_weight(w)
+    """Exact one-generation transition distribution out of ``s``, dense."""
+    P = _lumped_rows(kind, w, n)
     if not (0 <= s.k <= n - 1):
         raise ValueError(f"k must lie in [0..{n - 1}], got {s.k}")
-    law = _offspring_law(kind, s.cur_first, s.k, n)
-    return _select(law, w, n, s.prev_first, s.cur_first, s.k)
+    return P[[lumped_index(s.prev_first, s.cur_first, s.k, n)]].toarray()[0]
 
 
 def build_transition_matrix(kind, w: int, n: int) -> np.ndarray:
-    """Row-stochastic 4n x 4n lumped transition matrix.  Each offspring law
-    serves both stored bits."""
-    _require_single_parent(kind, n)
-    w = check_weight(w)
-    P = np.empty((4 * n, 4 * n))
-    for c in (0, 1):
-        for k in range(n):
-            law = _offspring_law(kind, c, k, n)
-            for p in (0, 1):
-                P[lumped_index(p, c, k, n)] = _select(law, w, n, p, c, k)
-    return P
+    """Dense 4n x 4n view of the sparse lumped rows that the solvers use."""
+    return _lumped_rows(kind, w, n).toarray()
 
 
 def state_classes(kind, w: int, n: int) -> np.ndarray:
@@ -196,57 +206,76 @@ class AbsorptionResult:
         return sum(self.overall[name] for name in CLASS_NAMES[1:])
 
 
-def _solve_levels(P: np.ndarray, fitness: np.ndarray, unknown: np.ndarray,
+def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
                   x: np.ndarray, chain: str, b: float = 0.0,
                   h: np.ndarray | None = None) -> np.ndarray:
     """Solve esc_i x_i - sum_{j != i} P_ij g_ij x_j = b for every state i in
-    ``unknown``, where esc_i = sum_{j != i} P_ij, g_ij = h_j / h_i under the
-    Doob transform ``h`` (else 1), and ``x`` holds the known values outside
-    ``unknown`` and zeros on it.
+    ``unknown`` (P sparse or dense), where esc_i = sum_{j != i} P_ij,
+    g_ij = h_j / h_i under the Doob transform ``h`` (else 1), and ``x``
+    holds the known values outside ``unknown`` and zeros on it.
 
-    Accepted moves never lower the state fitness, so I - Q is block
-    triangular in fitness order: x is filled in place one level at a time,
-    from the top down, each level needing only the levels above it.  A row
-    with mass on a lower level is refused, since back-substitution would
-    drop that mass.  The diagonal is the direct sum of off-diagonal mass, not
-    1 - P_ii, which would cancel to zero at deep quasi-traps; rows are then
-    scaled by it, giving the well-conditioned embedded jump chain.  Each
-    block's residual is checked on the scaled system, or under ``h`` on the
-    unscaled (I - Qh) x = b, the norms the dense solves used.
-    """
+    No accepted move lowers the fitness, so I - Q is block triangular in
+    fitness order: x is filled in place one level (at most 4 lumped states)
+    at a time, from the top.  Sorted by descending fitness, a level's rows
+    are one contiguous slice; row masses and level blocks are vectorised
+    over groups of whole levels.  Mass on a lower level is refused, as
+    back-substitution would drop it.  The diagonal is the direct sum of
+    off-diagonal mass, not 1 - P_ii, which cancels to zero at deep
+    quasi-traps; rows are scaled by it (the embedded jump chain), and each
+    block's residual is checked there, or under ``h`` on (I - Qh) x = b."""
     tol = _SOLVE_RESIDUAL_TOL if h is None else _HIT_RESIDUAL_TOL
-    f_unknown = fitness[unknown]
-    for f in np.unique(f_unknown)[::-1]:
-        level = unknown[f_unknown == f]
-        diag = np.arange(level.size)
-        rows = P[level]
-        rows[diag, level] = 0.0
-        esc = rows.sum(axis=1)
-        if esc.min() <= 0.0:
-            raise RuntimeError(
-                f"{chain}: transient state {level[esc.argmin()]} (fitness {f}) has no "
-                f"representable escape probability (escape mass {esc.min():.3g}); "
-                "the chain does not absorb from it in double precision")
-        down = rows @ (fitness < f)
-        if down.max() > 0.0:
-            raise RuntimeError(
-                f"{chain}: transient state {level[down.argmax()]} (fitness {f}) moves "
-                f"to a lower fitness with probability {down.max():.3g}")
+    P = sparse.csr_array(P)
+    order = unknown[np.argsort(-fitness[unknown], kind="stable")]
+    starts = np.flatnonzero(np.diff(fitness[order], prepend=np.inf, append=-np.inf))
+    pos = np.full(fitness.size, -1)
+    pos[order] = np.arange(order.size)
+    filled = np.cumsum(np.diff(P.indptr)[order])[starts[1:] - 1]
+    groups = np.flatnonzero(np.diff(filled // _CHUNK, prepend=-1)).tolist() + [starts.size - 1]
+    for g0, g1 in zip(groups[:-1], groups[1:]):
+        own, lstart = order[starts[g0]:starts[g1]], starts[g0:g1 + 1] - starts[g0]
+        R = P[own]
+        ptr, cols, vals = R.indptr, R.indices, R.data
+        row = np.repeat(np.arange(own.size), np.diff(ptr))
+        vals[cols == own[row]] = 0.0
+        fit, fc = fitness[own], fitness[cols]
+        esc = np.bincount(row, vals, own.size)
+        lower = np.bincount(row, vals * (fc < fit[row]), own.size)
         if h is not None:
-            rows *= h[None, :] / h[level, None]
-        A = -rows[:, level]
-        A[diag, diag] = esc
-        A /= esc[:, None]
-        rhs = (b + rows @ x) / esc[:, None]
-        try:
-            x[level] = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"{chain}: transient block at fitness {f} is singular: "
-                               "some states never absorb") from exc
-        residual = np.abs(A @ x[level] - rhs) * (1.0 if h is None else esc[:, None])
-        if residual.max() > tol:
-            raise RuntimeError(f"{chain}: solve residual {residual.max():.3g} at "
-                               f"fitness {f} exceeds tolerance {tol:g}")
+            vals *= h[cols] / h[own][row]
+        level_of = np.repeat(np.arange(g1 - g0), np.diff(lstart))
+        # row i of its level's scaled block: -P_ij / esc_i off the diagonal,
+        # esc_i / esc_i = 1 on it
+        i = np.flatnonzero((fc == fit[row]) & (pos[cols] >= 0))
+        first = lstart[level_of]
+        blocks = np.zeros((own.size, np.diff(lstart).max()))
+        blocks[row[i], pos[cols[i]] - starts[g0] - first[row[i]]] = (
+            -vals[i] / np.where(esc > 0.0, esc, 1.0)[row[i]])
+        blocks[np.arange(own.size), np.arange(own.size) - first] = 1.0
+        row_ptr, esc2 = ptr[:-1] - ptr[first], esc[:, None]
+        ptr, lstart = ptr.tolist(), lstart.tolist()
+        for r0, r1 in zip(lstart[:-1], lstart[1:]):
+            level, e, f = own[r0:r1], esc[r0:r1], fit[r0]
+            if e.min() <= 0.0:
+                raise RuntimeError(f"{chain}: transient state {level[e.argmin()]} (fitness {f}) "
+                                   f"has no representable escape probability (escape mass "
+                                   f"{e.min():.3g}); the chain does not absorb from it in "
+                                   "double precision")
+            if (d := lower[r0:r1]).max() > 0.0:
+                raise RuntimeError(f"{chain}: transient state {level[d.argmax()]} (fitness {f}) "
+                                   f"moves to a lower fitness with probability {d.max():.3g}")
+            A = blocks[r0:r1, :r1 - r0]
+            terms = np.take(x, cols[ptr[r0]:ptr[r1]], axis=0)
+            terms *= vals[ptr[r0]:ptr[r1], None]
+            rhs = (b + np.add.reduceat(terms, row_ptr[r0:r1])) / esc2[r0:r1]
+            try:
+                x[level] = sol = np.linalg.solve(A, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"{chain}: transient block at fitness {f} is singular: "
+                                   "some states never absorb") from exc
+            residual = np.abs(A @ sol - rhs) * (1.0 if h is None else esc2[r0:r1])
+            if residual.max() > tol:
+                raise RuntimeError(f"{chain}: solve residual {residual.max():.3g} at "
+                                   f"fitness {f} exceeds tolerance {tol:g}")
     return x
 
 
@@ -273,8 +302,8 @@ def _solve_absorption(P: np.ndarray, cls: np.ndarray, fitness: np.ndarray,
 
 
 def _lumped_solution(kind, w: int, n: int):
-    """Validated lumped chain: (w, label, P, classes, fitness, absorption)."""
-    P = build_transition_matrix(kind, w, n)
+    """Validated lumped chain: (w, label, sparse P, classes, fitness, absorption)."""
+    P = _lumped_rows(kind, w, n)
     w = check_weight(w)
     chain = f"{kind.name} n={n} w={w}"
     cls = state_classes(kind, w, n)
@@ -291,47 +320,38 @@ def absorption_probabilities(kind, w: int, n: int) -> AbsorptionResult:
     return AbsorptionResult(kind, w, n, cls, per, overall)
 
 
-def _popcounts(n_bits: int) -> np.ndarray:
-    return np.array([bin(v).count("1") for v in range(1 << n_bits)], dtype=np.int64)
-
-
 def brute_force_absorption(kind, w: int, n: int) -> AbsorptionResult:
     """Absorption on the unlumped chain over all 2 * 2**n full states.
 
-    Used solely to validate the lumping, so it builds its rows without the
-    lumped code: the offspring law is a 2**n x 2**n matrix over bitstrings
-    read off the Hamming distance d (1/n at d = 1 for one-bit mutation, the
-    per-bit product (1/n)^d (1 - 1/n)^(n-d) for bit-wise mutation), and one
-    vectorised selection step turns it into rows.  Results are aggregated
-    back to lumped indexing, with the within-group spread reported.
-    """
+    Used solely to validate the lumping, so its rows bypass the lumped code:
+    a 2**n x 2**n offspring matrix read off the Hamming distance d (1/n at
+    d = 1 for one-bit mutation, (1/n)^d (1 - 1/n)^(n-d) for bit-wise), then
+    one selection step.  Results are aggregated back to lumped indexing,
+    with the within-group spread reported."""
     _require_single_parent(kind, n)
     w = check_weight(w)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    B = 1 << n
-    X = np.arange(B)
-    ones = _popcounts(n)
-    first = X & 1
+    B, X = 1 << n, np.arange(1 << n)
+    ones, first = np.array([bin(v).count("1") for v in X], dtype=np.int64), X & 1
     dist = ones[X[:, None] ^ X]  # offspring law over bitstrings, from Hamming distances
-    if kind.name == "rls":
-        M = (dist == 1) / n
-    else:
-        M = (1.0 / n) ** dist * (1.0 - 1.0 / n) ** (n - dist)
+    M = (dist == 1) / n if kind.name == "rls" else (1 / n) ** dist * (1 - 1 / n) ** (n - dist)
     del dist
 
-    # offspring y of (prev, x) is accepted iff ones(y) + w * x_1 >= ones(x) + w * prev,
-    # and the state then becomes (x_1, y); rejected mass stays on (prev, x)
-    P = np.zeros((2 * B, 2 * B))
-    for prev in (0, 1):
-        accepted = ones + w * first[:, None] >= (ones + w * prev)[:, None]
-        vals = np.where(accepted, M, 0.0)
-        for c in (0, 1):  # parents with first bit c are every other row from c
-            P[prev * B + c:(prev + 1) * B:2, c * B:(c + 1) * B] = vals[c::2]
-        P[prev * B + X, prev * B + X] += np.where(accepted, 0.0, M).sum(axis=1)
-    P /= P.sum(axis=1, keepdims=True)
-
-    stored, x = np.divmod(np.arange(2 * B), B)
+    # states in order of stored bit, first bit, bitstring.  Offspring y of (prev, x)
+    # is accepted iff ones(y) + w * x_1 >= ones(x) + w * prev, giving (x_1, y)
+    rank = (X >> 1) + first * (B // 2)
+    stored, x = np.repeat([0, 1], B), np.tile(np.r_[X[0::2], X[1::2]], 2)
+    blocks = []
+    for prev, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        xs = X[c::2]
+        accepted = ones + w * c >= (ones[xs] + w * prev)[:, None]
+        blocks.append(_select_rows(np.where(accepted, M[xs], 0.0), c * B + rank,
+                                   np.where(accepted, 0.0, M[xs]).sum(axis=1),
+                                   prev * B + rank[xs]))
+    del M
+    P = _csr(blocks, 2 * B)
+    del blocks
     gidx = (2 * stored + first[x]) * n + ones[x] - first[x]
     cls = state_classes(kind, w, n)
     per_full = _solve_absorption(P, cls[gidx], ones[x] + w * stored,

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import rankdata
 
 MUTATION_FACTS_MAX_N = 16
 SELECTION_EXHAUSTIVE_MAX_N = 6
@@ -191,6 +190,8 @@ def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
     share a rank), and asserts the rank vectors agree across weights.  The
     margin is the smallest fitness gap between distinctly ranked members.
     """
+    from scipy.stats import rankdata  # imported here: scipy.stats takes about 1 s to load
+
     weights = [int(w) for w in weights]
     if M < 1 or samples < 1:
         raise ValueError(f"M and samples must be >= 1, got M={M}, samples={samples}")

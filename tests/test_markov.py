@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,11 +76,47 @@ class TestTransitionRow:
         expected[lumped_index(0, 1, 2, 4)] = 1.0
         assert np.allclose(row, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [40, 200, 1000])
+    def test_ea_rows_match_full_convolution(self, n):
+        # the offspring table cuts the binomials where they underflow; rows
+        # rebuilt from the full-length pmfs must keep the same support
+        for w in (-n, -1, 0, 2, n):
+            P = tl.build_transition_matrix(tl.ONE_PLUS_ONE_EA, w, n)
+            for c in (0, 1):
+                for k in range(n):
+                    law = _full_ea_offspring_law(c, k, n)
+                    for p in (0, 1):
+                        ref = _select_reference(law, w, n, p, c, k)
+                        row = P[lumped_index(p, c, k, n)]
+                        assert np.array_equal(row > 0, ref > 0), (n, w, p, c, k)
+                        assert np.abs(row - ref).max() <= 1e-15, (n, w, p, c, k)
+
     def test_guards(self):
         with pytest.raises(ValueError, match="single-parent kinds only, got 'mu-ea'$"):
             tl.transition_row(tl.mu_plus_one_ea(2), 0, 4, LumpedState(0, 0, 0))
         with pytest.raises(ValueError):
             tl.transition_row(tl.RLS, 0, 4, LumpedState(0, 0, 4))
+
+
+def _full_ea_offspring_law(c, k, n):
+    """Bit-wise mutation's offspring law over (first bit, tail ones) as a
+    2 x n array: full-length binomial pmfs of the down- and up-flips,
+    convolved."""
+    tail = np.convolve(binomial_pmf(k, 1 / n)[::-1], binomial_pmf(n - 1 - k, 1 / n))
+    law = np.empty((2, n))
+    law[c], law[1 - c] = (1 - 1 / n) * tail, (1 / n) * tail
+    return law
+
+
+def _select_reference(law, w, n, p, c, k):
+    """Dense row of state (p, c, k): offspring (c', k') is accepted iff
+    c' + k' + w c >= c + k + w p and moves the state to (c, c', k');
+    rejected mass stays; the row is divided by its sum."""
+    accepted = np.arange(2)[:, None] + np.arange(n) + w * c >= c + k + w * p
+    row = np.zeros(4 * n)
+    row[2 * c * n:2 * (c + 1) * n] = np.where(accepted, law, 0.0).ravel()
+    row[lumped_index(p, c, k, n)] += law[~accepted].sum()
+    return row / row.sum()
 
 
 def test_binomial_pmf_exact_small():
@@ -252,6 +289,20 @@ class TestLevelSolver:
                         for c, prob in enumerate(probs):
                             assert abs(per[i, c] - float(prob)) <= 1e-12, (kind.name, n, w, i)
 
+    def test_level_groups_do_not_change_results(self, monkeypatch):
+        # the vectorised pass runs over groups of whole levels; any grouping
+        # must give bit-identical answers, refusals included
+        cases = [(tl.ONE_PLUS_ONE_EA, -3, 40), (tl.RLS, 5, 40), (tl.ONE_PLUS_ONE_EA, 2, 60)]
+        default = [(tl.absorption_probabilities(k, w, n).per_state,
+                    tl.conditional_hitting_time(k, w, n).per_state) for k, w, n in cases]
+        monkeypatch.setattr(tl.markov, "_CHUNK", 50)
+        for (kind, w, n), (per, hit) in zip(cases, default):
+            assert np.array_equal(tl.absorption_probabilities(kind, w, n).per_state, per)
+            assert np.array_equal(tl.conditional_hitting_time(kind, w, n).per_state, hit,
+                                  equal_nan=True)
+        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 67\.5 "):
+            tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -20, 40)
+
     def test_refuses_fitness_lowering_mass(self):
         # state 0 is transient; state 1 is known at x = 1, state 2 at x = 0
         P = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -262,6 +313,18 @@ class TestLevelSolver:
         with pytest.raises(RuntimeError, match="lower fitness"):
             _solve_levels(P, np.array([1, 2, 0]), np.array([0]), np.zeros((3, 1)),
                           "hand-built")
+
+
+def test_solves_allocate_no_dense_matrix():
+    # a dense 4n x 4n float matrix alone would exceed the traced peak
+    n = 1500
+    tracemalloc.start()
+    try:
+        tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, 2, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * n) ** 2 * 8, peak
 
 
 class TestRefusals:
