@@ -10,15 +10,14 @@ on a symmetry-lumped state space, and reproducible Monte Carlo estimation.
 __version__ = "0.1.0"
 
 from .algorithms import (ONE_PLUS_ONE_EA, RLS, AlgorithmKind, PopulationMember,
-                         TrialOutcome, TrialStatus, accept, mu_plus_one_ea,
-                         mutate_ea, mutate_rls, run_trial, split_seed, step)
+                         TrialOutcome, TrialStatus, mu_plus_one_ea, run_trial,
+                         split_seed, step)
 from .core import (MAX_WEIGHT, TLState, as_bits, fitness, is_global_optimum,
-                   ones_count, random_bitstring, random_init)
+                   random_bitstring, random_init)
 from .markov import (CLASS_NAMES, AbsorptionResult, HittingTimeResult,
-                     LumpedState, absorption_probabilities,
-                     brute_force_absorption, build_transition_matrix,
-                     conditional_hitting_time, initial_distribution,
-                     transition_row)
+                     absorption_probabilities, brute_force_absorption,
+                     build_transition_matrix, conditional_hitting_time,
+                     initial_distribution)
 from .montecarlo import (EstimateResult, ExperimentConfig, ScalingRow,
                          default_budget, estimate, runtime_scaling, wilson_ci)
 from .stagnation import StagnationEvent, classify, is_absorbing_oracle
@@ -29,12 +28,12 @@ __all__ = [
     "__version__",
     "AlgorithmKind", "RLS", "ONE_PLUS_ONE_EA", "mu_plus_one_ea",
     "TLState", "PopulationMember", "TrialOutcome", "TrialStatus",
-    "MAX_WEIGHT", "as_bits", "ones_count", "fitness", "is_global_optimum",
+    "MAX_WEIGHT", "as_bits", "fitness", "is_global_optimum",
     "random_bitstring", "random_init",
-    "mutate_rls", "mutate_ea", "accept", "step", "run_trial", "split_seed",
+    "step", "run_trial", "split_seed",
     "StagnationEvent", "classify", "is_absorbing_oracle",
-    "CLASS_NAMES", "LumpedState", "AbsorptionResult", "HittingTimeResult",
-    "transition_row", "build_transition_matrix", "initial_distribution",
+    "CLASS_NAMES", "AbsorptionResult", "HittingTimeResult",
+    "build_transition_matrix", "initial_distribution",
     "absorption_probabilities", "brute_force_absorption",
     "conditional_hitting_time",
     "ExperimentConfig", "EstimateResult", "ScalingRow",

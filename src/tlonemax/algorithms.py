@@ -25,7 +25,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import TLState, _is_optimum_parts, check_weight, fitness, random_init
+from .core import (TLState, _is_optimum_parts, check_seed, check_weight, fitness,
+                   random_init)
 from .stagnation import StagnationEvent, classify_lumped
 
 
@@ -144,7 +145,7 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     w = check_weight(w)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(check_seed(seed))
     if kind.single_parent:
         return _run_single_parent(kind, w, n, budget, rng, observer)
     return _run_mu_plus_one(kind.mu, w, n, budget, rng, observer)

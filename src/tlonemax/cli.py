@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -29,7 +28,7 @@ from . import __version__
 from .algorithms import (ONE_PLUS_ONE_EA, RLS, AlgorithmKind, mu_plus_one_ea,
                          run_trial)
 from .markov import (CLASS_NAMES, absorption_probabilities,
-                     conditional_hitting_time, state_from_index)
+                     conditional_hitting_time)
 from .montecarlo import (ExperimentConfig, default_budget, estimate,
                          runtime_scaling)
 from .verify import (check_mutation_facts, check_rank_equivalence,
@@ -52,16 +51,6 @@ THEOREM10_TRIALS = 200
 
 class UsageError(Exception):
     pass
-
-
-def _workers_default() -> int:
-    env = os.environ.get("TLOM_WORKERS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _parse_kind(algo: str, mu) -> AlgorithmKind:
@@ -141,7 +130,11 @@ def cmd_exact(args) -> int:
     kind = _parse_kind(args.algo, None)
     if args.format == "csv" and (args.per_state or args.hitting_times):
         raise UsageError("--per-state/--hitting-times require --format json")
-    res = absorption_probabilities(kind, args.w, args.n)
+    if args.hitting_times:
+        hit = conditional_hitting_time(kind, args.w, args.n)
+        res = hit.absorption
+    else:
+        hit, res = None, absorption_probabilities(kind, args.w, args.n)
     config = {"algo": args.algo, "n": args.n, "w": args.w}
     if args.format == "csv":
         _emit_csv(["algo", "n", "w", "p_opt", "p_event1", "p_event2", "p_event3"],
@@ -151,14 +144,13 @@ def cmd_exact(args) -> int:
         return EXIT_OK
     result = {"overall": dict(res.overall), "p_optimum": res.p_optimum,
               "p_failure": res.p_failure}
-    hit = conditional_hitting_time(kind, args.w, args.n) if args.hitting_times else None
     if hit is not None:
         result["hitting"] = {"overall_conditional_generations": hit.overall}
     if args.per_state:
         rows = []
         for idx in range(4 * args.n):
-            s = state_from_index(idx, args.n)
-            row = {"prev_first": s.prev_first, "cur_first": s.cur_first, "k": s.k}
+            pc, k = divmod(idx, args.n)
+            row = {"prev_first": pc // 2, "cur_first": pc % 2, "k": k}
             for c, name in enumerate(CLASS_NAMES):
                 row[f"p_{name}"] = float(res.per_state[idx, c])
             if hit is not None:
@@ -314,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--workers", type=int, default=_workers_default())
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("exact", help="exact absorption probabilities")
@@ -344,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--workers", type=int, default=_workers_default())
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("trace", help="replay one seeded trial generation by generation")

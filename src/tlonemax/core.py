@@ -38,6 +38,14 @@ def check_length(n: int) -> int:
     return n
 
 
+def check_seed(seed: int) -> int:
+    """Validate a random seed and return it as a plain int."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def as_bits(bits) -> np.ndarray:
     """Coerce a bit sequence (list, tuple, string, array) to a uint8 array.
 
@@ -52,11 +60,6 @@ def as_bits(bits) -> np.ndarray:
     if np.any(x > 1):
         raise ValueError(f"bitstring entries must be 0 or 1, got {int(x.max())}")
     return x
-
-
-def ones_count(x: np.ndarray) -> int:
-    """Number of one-valued positions of ``x``."""
-    return int(x.sum())
 
 
 def fitness(w: int, prev_first: int, x: np.ndarray) -> int:

@@ -37,22 +37,8 @@ _ROW_SUM_TOL = 1e-10
 _CHUNK = 1 << 18  # stored entries per group of levels in the vectorised solver pass
 
 
-@dataclass(frozen=True)
-class LumpedState:
-    """Symmetry-reduced state: stored bit, current first bit, tail ones-count."""
-
-    prev_first: int
-    cur_first: int
-    k: int
-
-
 def lumped_index(prev_first: int, cur_first: int, k: int, n: int) -> int:
     return (prev_first * 2 + cur_first) * n + k
-
-
-def state_from_index(idx: int, n: int) -> LumpedState:
-    pc, k = divmod(idx, n)
-    return LumpedState(pc // 2, pc % 2, k)
 
 
 def _binomial_logpmf(m, k, p: float):
@@ -68,9 +54,11 @@ def binomial_pmf(m: int, p: float) -> np.ndarray:
 
 def initial_distribution(n: int) -> np.ndarray:
     """Lumped law of uniform initialization: stored bit and current first bit
-    fair coins, tail ones Binomial(n-1, 1/2), all independent."""
+    fair coins, tail ones Binomial(n-1, 1/2), all independent.  Divided by
+    its sum: the log-factorial pmf alone misses 1 by up to 5e-12 at n = 10**4."""
     check_length(n)
-    return np.tile(0.25 * binomial_pmf(n - 1, 0.5), 4)
+    pi = np.tile(0.25 * binomial_pmf(n - 1, 0.5), 4)
+    return pi / pi.sum()
 
 
 def _require_single_parent(kind, n: int):
@@ -143,14 +131,6 @@ def _lumped_rows(kind, w: int, n: int) -> sparse.csr_array:
     return _csr(blocks, 4 * n)
 
 
-def transition_row(kind, w: int, n: int, s: LumpedState) -> np.ndarray:
-    """Exact one-generation transition distribution out of ``s``, dense."""
-    P = _lumped_rows(kind, w, n)
-    if not (0 <= s.k <= n - 1):
-        raise ValueError(f"k must lie in [0..{n - 1}], got {s.k}")
-    return P[[lumped_index(s.prev_first, s.cur_first, s.k, n)]].toarray()[0]
-
-
 def build_transition_matrix(kind, w: int, n: int) -> np.ndarray:
     """Dense 4n x 4n view of the sparse lumped rows that the solvers use."""
     return _lumped_rows(kind, w, n).toarray()
@@ -165,11 +145,12 @@ def state_classes(kind, w: int, n: int) -> np.ndarray:
     _require_single_parent(kind, n)
     cls = np.full(4 * n, -1, dtype=np.int64)
     for idx in range(4 * n):
-        s = state_from_index(idx, n)
-        if _is_optimum_parts(w, s.prev_first, s.cur_first + s.k, n):
+        pc, k = divmod(idx, n)
+        p, c = divmod(pc, 2)
+        if _is_optimum_parts(w, p, c + k, n):
             cls[idx] = 0
         else:
-            ev = classify_lumped(kind.name, w, n, s.prev_first, s.cur_first, s.k)
+            ev = classify_lumped(kind.name, w, n, p, c, k)
             if ev is not None:
                 cls[idx] = CLASS_NAMES.index(ev.value)
     return cls
@@ -302,22 +283,23 @@ def _solve_absorption(P: np.ndarray, cls: np.ndarray, fitness: np.ndarray,
 
 
 def _lumped_solution(kind, w: int, n: int):
-    """Validated lumped chain: (w, label, sparse P, classes, fitness, absorption)."""
+    """Validated lumped chain solved for absorption:
+    (AbsorptionResult, sparse P, fitness per state, chain label)."""
     P = _lumped_rows(kind, w, n)
     w = check_weight(w)
     chain = f"{kind.name} n={n} w={w}"
     cls = state_classes(kind, w, n)
     pc, k = np.divmod(np.arange(4 * n), n)
     fitness = pc % 2 + k + w * (pc // 2)
-    return w, chain, P, cls, fitness, _solve_absorption(P, cls, fitness, chain)
+    per = _solve_absorption(P, cls, fitness, chain)
+    pi = initial_distribution(n)
+    overall = {name: float(pi @ per[:, c]) for c, name in enumerate(CLASS_NAMES)}
+    return AbsorptionResult(kind, w, n, cls, per, overall), P, fitness, chain
 
 
 def absorption_probabilities(kind, w: int, n: int) -> AbsorptionResult:
     """Exact per-start and overall absorption probabilities on the lumped chain."""
-    w, _, _, cls, _, per = _lumped_solution(kind, w, n)
-    pi = initial_distribution(n)
-    overall = {name: float(pi @ per[:, c]) for c, name in enumerate(CLASS_NAMES)}
-    return AbsorptionResult(kind, w, n, cls, per, overall)
+    return _lumped_solution(kind, w, n)[0]
 
 
 def brute_force_absorption(kind, w: int, n: int) -> AbsorptionResult:
@@ -373,7 +355,8 @@ class HittingTimeResult:
     per_state[i] is NaN for states that never reach the optimum (stagnation
     states and transient states with zero optimum mass) and 0 for states that
     already are optima; ``overall`` conditions the uniform-initialization law
-    on eventual success.
+    on eventual success.  ``absorption`` is the solve the h-transform reads,
+    the same result ``absorption_probabilities`` returns.
     """
 
     kind: object
@@ -381,13 +364,14 @@ class HittingTimeResult:
     n: int
     per_state: np.ndarray
     overall: float
+    absorption: AbsorptionResult
 
 
 def conditional_hitting_time(kind, w: int, n: int) -> HittingTimeResult:
     """Doob h-transform of the transient chain: reweight transitions by the
     optimum-absorption vector, then solve for expected steps to absorption."""
-    w, chain, P, cls, fitness, per = _lumped_solution(kind, w, n)
-    h = per[:, 0]
+    absorption, P, fitness, chain = _lumped_solution(kind, w, n)
+    cls, h = absorption.state_class, absorption.per_state[:, 0]
     pos = np.flatnonzero((cls < 0) & (h > 1e-12))
     times = _solve_levels(P, fitness, pos, np.zeros((4 * n, 1)), chain, b=1.0, h=h)[:, 0]
     unreached = cls != 0
@@ -397,4 +381,4 @@ def conditional_hitting_time(kind, w: int, n: int) -> HittingTimeResult:
     weights = pi * h
     reachable = weights > 0
     overall = float((weights[reachable] * times[reachable]).sum() / weights[reachable].sum())
-    return HittingTimeResult(kind, w, n, times, overall)
+    return HittingTimeResult(kind, absorption.w, n, times, overall, absorption)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import AlgorithmKind, TrialStatus, run_trial, split_seed
-from .core import check_length, check_weight
+from .core import check_length, check_seed, check_weight
 
 
 def default_budget(n: int) -> int:
@@ -40,6 +40,7 @@ class ExperimentConfig:
     def __post_init__(self):
         check_weight(self.w)
         check_length(self.n)
+        check_seed(self.master_seed)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.budget < 1:
@@ -96,13 +97,10 @@ def _trial_summary(args) -> tuple[str, str | None, int]:
             out.generations)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _run_trials(cfg: ExperimentConfig, workers: int) -> list:
     """Summaries of cfg's trials in trial order, serially or on a process pool."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     args = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget,
              split_seed(cfg.master_seed, i)) for i in range(cfg.trials)]
     if workers > 1:
@@ -112,14 +110,13 @@ def _run_trials(cfg: ExperimentConfig, workers: int) -> list:
     return [_trial_summary(a) for a in args]
 
 
-def estimate(cfg: ExperimentConfig, workers: int = 1, z: float = 1.96) -> EstimateResult:
+def estimate(cfg: ExperimentConfig, workers: int = 1) -> EstimateResult:
     """Run cfg.trials independent seeded trials and aggregate.
 
     The result is byte-identical for identical configs at any ``workers``
     value (wall time aside); per-trial errors propagate, nothing partial is
     returned.  ``workers`` must be >= 1.
     """
-    _check_workers(workers)
     t0 = time.perf_counter()
     summaries = _run_trials(cfg, workers)
     counts = {"event1": 0, "event2": 0, "event3": 0}
@@ -135,7 +132,7 @@ def estimate(cfg: ExperimentConfig, workers: int = 1, z: float = 1.96) -> Estima
         else:
             undecided += 1
     stagnated = sum(counts.values())
-    low, high = wilson_ci(successes, cfg.trials, z)
+    low, high = wilson_ci(successes, cfg.trials)
     gens = np.asarray(success_gens, dtype=float)
     return EstimateResult(
         trials=cfg.trials,
@@ -180,8 +177,8 @@ def runtime_scaling(kind: AlgorithmKind, w: int, ns: list[int], trials: int,
     (unless overridden) the default 100 n ln n budget.  ``workers`` must be
     >= 1.
     """
-    _check_workers(workers)
     check_weight(w)
+    check_seed(master_seed)
     if w < 0:
         raise ValueError(f"runtime scaling is defined for w >= 0 only, got {w}")
     rows = []

@@ -25,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import check_seed
+
 MUTATION_FACTS_MAX_N = 16
 SELECTION_EXHAUSTIVE_MAX_N = 6
 
@@ -126,6 +128,7 @@ def check_selection_equivalence(n: int, extra_weights: list[int],
     that ``samples`` uniform triples are drawn.
     """
     extra_weights = [int(w) for w in extra_weights]
+    check_seed(seed)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     for w in extra_weights:
@@ -193,6 +196,7 @@ def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
     from scipy.stats import rankdata  # imported here: scipy.stats takes about 1 s to load
 
     weights = [int(w) for w in weights]
+    check_seed(seed)
     if M < 1 or samples < 1:
         raise ValueError(f"M and samples must be >= 1, got M={M}, samples={samples}")
     for w in weights:

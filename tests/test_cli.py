@@ -1,9 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from tlonemax import cli
+from tlonemax import cli, markov
 from tlonemax.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT_FAIL, main
 
 ESTIMATE_HEADER = ("algo,n,w,trials,budget,seed,successes,event1,event2,event3,"
@@ -110,6 +111,34 @@ class TestExact:
         assert len(doc["result"]["per_state"]) == 24
         assert doc["result"]["hitting"]["overall_conditional_generations"] > 0
         assert json.loads(json.dumps(doc)) == doc  # NaN-free strict JSON
+
+    @pytest.mark.parametrize("algo", ["rls", "ea"])
+    def test_hitting_times_reuse_the_absorption_solve(self, capsys, monkeypatch, algo):
+        # --hitting-times builds the rows once and reports the probabilities
+        # of that one solve, bit-equal to those of the plain --per-state run
+        n, kind = 12, cli._parse_kind(algo, None)
+        build, calls = markov._lumped_rows, []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(markov, "_lumped_rows", counted)
+        for w in (-n, -1, 2):
+            argv = ["exact", "--algo", algo, "--n", str(n), "--w", str(w), "--per-state"]
+            _, plain, _ = run(capsys, *argv)
+            calls.clear()
+            code, both, _ = run(capsys, *argv, "--hitting-times")
+            assert code == EXIT_OK and len(calls) == 1, (w, calls)
+            plain, both = json.loads(plain)["result"], json.loads(both)["result"]
+            for key in ("overall", "p_optimum", "p_failure"):
+                assert both[key] == plain[key], (w, key)
+            for a, b in zip(plain["per_state"], both["per_state"], strict=True):
+                assert {k: v for k, v in b.items() if k.startswith("p_")} == \
+                    {k: v for k, v in a.items() if k.startswith("p_")}, (w, a)
+            hit = markov.conditional_hitting_time(kind, w, n)
+            assert np.array_equal(hit.absorption.per_state,
+                                  markov.absorption_probabilities(kind, w, n).per_state), w
 
     def test_mu_ea_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -259,14 +288,14 @@ class TestReproduce:
         assert exc.value.code == EXIT_USAGE
 
 
-def test_workers_env_default(monkeypatch):
-    from tlonemax.cli import build_parser
-    monkeypatch.setenv("TLOM_WORKERS", "3")
-    args = build_parser().parse_args(["estimate", "--algo", "rls", "--n", "8", "--w", "0"])
-    assert args.workers == 3
-    monkeypatch.setenv("TLOM_WORKERS", "junk")
-    args = build_parser().parse_args(["estimate", "--algo", "rls", "--n", "8", "--w", "0"])
-    assert args.workers == 1
-    monkeypatch.delenv("TLOM_WORKERS")
-    args = build_parser().parse_args(["estimate", "--algo", "rls", "--n", "8", "--w", "0"])
-    assert args.workers == 1
+@pytest.mark.parametrize("argv, seed", [
+    (["estimate", "--algo", "ea", "--n", "8", "--w", "0", "--trials", "5"], "-1"),
+    (["scaling", "--algo", "rls", "--w", "1", "--ns", "8", "--trials", "5"], "-5"),
+    (["trace", "--algo", "rls", "--n", "6", "--w", "2"], "-1"),
+    (["verify", "--lemma", "ranks", "--n", "8", "--samples", "10"], "-1"),
+    (["verify", "--lemma", "selection", "--n", "8", "--samples", "10"], "-1"),
+], ids=["estimate", "scaling", "trace", "verify-ranks", "verify-selection"])
+def test_negative_seed_names_the_value(capsys, argv, seed):
+    code, out, err = run(capsys, *argv, "--seed", seed)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: seed must be >= 0, got {seed}\n"
