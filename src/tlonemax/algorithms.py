@@ -1,8 +1,12 @@
 """Steppers for the time-linkage RLS and (1+1) EA, plus trials of all three.
 
 ``step`` is the named reference for one single-parent generation;
-``run_trial`` does not call it, but gives the same trial as iterating it
-while skipping rejected generations in blocks.  The (mu+1) EA has no public
+``run_trial`` does not call it, but skips rejected generations in blocks.
+For RLS it gives the same trial as iterating ``step``.  For the (1+1) EA it
+reads every mask off one flip field of geometric gaps (``_flip_source``):
+the same mutation law as ``mutate_ea``'s ``rng.random(n) < 1/n``, but other
+random numbers, so seeded (1+1) EA trials differ from those of versions that
+drew n doubles per generation.  The (mu+1) EA has no public
 per-generation stepper.  Its named reference is ``_mu_plus_one_generation``
 on population arrays; ``run_trial`` gives the same trial on fitness buckets
 (``_run_mu_plus_one``), where the members' birth-stamp order is their row
@@ -25,8 +29,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import (TLState, _is_optimum_parts, check_seed, check_weight, fitness,
-                   random_init)
+from .core import (TLState, _is_optimum_parts, check_count, check_length, check_seed,
+                   check_weight, fitness, random_init)
 from .stagnation import StagnationEvent, classify_lumped
 
 
@@ -77,7 +81,7 @@ def accept(w: int, state: TLState, offspring: np.ndarray) -> bool:
     """Selection rule: offspring evaluated with the parent's current first bit
     as stored history, accepted iff its fitness is >= the incumbent's."""
     if offspring.shape[0] != state.n:
-        raise ValueError("offspring length must match the state")
+        raise ValueError(f"offspring length {offspring.shape[0]} must match the state's {state.n}")
     return fitness(w, int(state.current[0]), offspring) >= state.fitness(w)
 
 
@@ -142,17 +146,18 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
     when given, is called as observer(g, state_or_population, accepted, event)
     after initialization (g=0) and after every generation.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    w = check_weight(w)
+    budget, w, n = check_count("budget", budget), check_weight(w), check_length(n)
     rng = np.random.default_rng(check_seed(seed))
     if kind.single_parent:
         return _run_single_parent(kind, w, n, budget, rng, observer)
     return _run_mu_plus_one(kind.mu, w, n, budget, rng, observer)
 
 
-#: Random doubles per drawn block of (1+1) EA masks (RLS: indices per block).
-_BLOCK_DRAWS = 1 << 16
+#: Most random numbers one draw call makes: the rows of a drawn block (RLS
+#: draws one index per row) and the geometric gaps of one (1+1) EA chunk.
+#: A cap of 2**16 is no faster, but it raised the peak memory of 30 trials
+#: per kind at n = 1024, w = 1 by about 2.6 MB.
+_BLOCK_DRAWS = 1 << 12
 
 #: Rows of the first drawn block and of the first searched window.  Blocks
 #: double up to the cap, so short trials draw little past their end; the
@@ -161,26 +166,52 @@ _BLOCK_DRAWS = 1 << 16
 _FIRST_ROWS = 16
 
 
-def _draw_flips(kind_name, n, k, rng):
-    """Positions flipped by the next k generations' mutations, in compressed
-    rows: row r flips cols[starts[r]:starts[r + 1]], and rows[i] is the row
-    of cols[i].
+def _flip_source(kind_name, n, rng):
+    """draw(k): the positions flipped by the next k generations' mutations,
+    in compressed rows: row r flips cols[starts[r]:starts[r + 1]], and
+    rows[i] is the row of cols[i].
 
-    A block draw reads the generator's stream exactly as k per-generation
-    draws do: ``rng.integers(n, size=k)`` gives the values of k calls
-    ``rng.integers(n)``, and ``rng.random((k, n))`` the rows of k calls
-    ``rng.random(n)``.
+    RLS reads the generator's stream exactly as per-generation draws do:
+    ``rng.integers(n, size=k)`` gives the values of k calls
+    ``rng.integers(n)``.  The (1+1) EA reads a flip field instead: cell
+    (g - 1) n + j stands for bit j of generation g, and the flipped cells are
+    c_1 = G_1 - 1 and c_{i+1} = c_i + G_{i+1}, with the G_i drawn as
+    ``rng.geometric(1/n)``.  Every cell flips independently with probability
+    1/n, so each mask has the law of ``mutate_ea``'s ``rng.random(n) < 1/n``,
+    but a generation costs O(1 + flips) instead of n random doubles.  Cells
+    drawn past a block are kept for the next one, and
+    ``rng.geometric(p, size=m)`` gives the values of m scalar calls, so the
+    field does not depend on the block sizes.  A chunk holds 4k + 32 gaps,
+    about four times a block's expected k flips, so short trials make few
+    draw calls; ``_BLOCK_DRAWS`` bounds it.
     """
     if kind_name == "rls":
-        rows = np.arange(k)
-        return rows, rng.integers(n, size=k), np.arange(k + 1)
-    rows, cols = np.divmod(np.flatnonzero(rng.random((k, n)) < 1.0 / n), n)
-    return rows, cols, np.searchsorted(rows, np.arange(k + 1))
+        def draw(k):
+            return np.arange(k), rng.integers(n, size=k), np.arange(k + 1)
+        return draw
+    p = 1.0 / n
+    # drawn flip cells not yet handed out, counted from the next block's
+    # first cell, and the last drawn one
+    field, last = np.empty(0, dtype=np.int64), -1
+
+    def draw(k):
+        nonlocal field, last
+        end, chunks = k * n, [field]
+        while last < end:
+            chunks.append(last + np.cumsum(rng.geometric(p, size=min(4 * k + 32, _BLOCK_DRAWS))))
+            last = int(chunks[-1][-1])
+        cells = np.concatenate(chunks)
+        cut = int(np.searchsorted(cells, end))
+        field, last = cells[cut:] - end, last - end
+        rows, cols = np.divmod(cells[:cut], n)
+        return rows, cols, np.searchsorted(rows, np.arange(k + 1))
+    return draw
 
 
 def _run_single_parent(kind, w, n, budget, rng, observer):
     """RLS and (1+1) EA trials on incremental counts, generation for
-    generation the same as iterating ``step`` from ``random_init``.
+    generation the same as iterating ``step`` from ``random_init``, with the
+    (1+1) EA's masks read off the flip field of ``_flip_source``.
 
     The state (prev, x) is kept with x1 = x[0] and its ones-count.  Mutations
     are drawn in blocks, and each block is searched with array operations for
@@ -196,7 +227,7 @@ def _run_single_parent(kind, w, n, budget, rng, observer):
     prev, x, t, g = init.prev_first, init.current, 1, 0
     x1, ones = int(x[0]), int(x.sum())
     gain = 1 - 2 * x.astype(np.int64)
-    cap = _BLOCK_DRAWS if kind.name == "rls" else max(1, _BLOCK_DRAWS // n)
+    draw = _flip_source(kind.name, n, rng)
     block = _FIRST_ROWS
     r = k = 0
     while True:
@@ -215,9 +246,9 @@ def _run_single_parent(kind, w, n, budget, rng, observer):
             if r == k:
                 if g == budget:
                     return TrialOutcome(TrialStatus.BUDGET, g, None, TLState(prev, x, t, g))
-                k, r = min(block, cap, budget - g), 0
+                k, r = min(block, _BLOCK_DRAWS, budget - g), 0
                 block *= 2
-                rows, cols, starts = _draw_flips(kind.name, n, k, rng)
+                rows, cols, starts = draw(k)
                 flips = np.diff(starts)
                 flipping, single = flips > 0, bool((flips == 1).all())
             end = min(k, r + window)

@@ -13,6 +13,7 @@ exactly (previous first bit, current bitstring).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,17 @@ import numpy as np
 MAX_WEIGHT = 2**31
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; a non-integer is refused, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_weight(w: int) -> int:
     """Validate the time-linkage weight and return it as a plain int."""
-    w = int(w)
+    w = _integer("w", w)
     if abs(w) > MAX_WEIGHT:
         raise ValueError(f"|w| must be <= 2**31, got {w}")
     return w
@@ -32,7 +41,7 @@ def check_weight(w: int) -> int:
 
 def check_length(n: int) -> int:
     """Validate the bitstring length and return it as a plain int."""
-    n = int(n)
+    n = _integer("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return n
@@ -40,10 +49,19 @@ def check_length(n: int) -> int:
 
 def check_seed(seed: int) -> int:
     """Validate a random seed and return it as a plain int."""
-    seed = int(seed)
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def check_count(name: str, value: int) -> int:
+    """Validate a count that must be at least 1 (a budget, a trial or worker
+    count) and return it as a plain int."""
+    value = _integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def as_bits(bits) -> np.ndarray:

@@ -143,6 +143,7 @@ def state_classes(kind, w: int, n: int) -> np.ndarray:
     stagnation events -- nothing speculative.
     """
     _require_single_parent(kind, n)
+    w = check_weight(w)
     cls = np.full(4 * n, -1, dtype=np.int64)
     for idx in range(4 * n):
         pc, k = divmod(idx, n)

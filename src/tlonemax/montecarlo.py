@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import AlgorithmKind, TrialStatus, run_trial, split_seed
-from .core import check_length, check_seed, check_weight
+from .core import check_count, check_length, check_seed, check_weight
 
 
 def default_budget(n: int) -> int:
@@ -41,10 +41,8 @@ class ExperimentConfig:
         check_weight(self.w)
         check_length(self.n)
         check_seed(self.master_seed)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        check_count("trials", self.trials)
+        check_count("budget", self.budget)
 
 
 @dataclass
@@ -99,8 +97,7 @@ def _trial_summary(args) -> tuple[str, str | None, int]:
 
 def _run_trials(cfg: ExperimentConfig, workers: int) -> list:
     """Summaries of cfg's trials in trial order, serially or on a process pool."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers)
     args = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget,
              split_seed(cfg.master_seed, i)) for i in range(cfg.trials)]
     if workers > 1:

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, chi2_contingency, ks_2samp
 
 import tlonemax as tl
+from tlonemax import algorithms
 from tlonemax.algorithms import _mu_plus_one_generation, accept, mutate_ea, mutate_rls
 
 
@@ -15,6 +16,20 @@ def bits(s):
 
 def state(prev, s):
     return tl.TLState(prev, bits(s))
+
+
+def binomial_chisquare(flips, n):
+    """Chi-square statistic and its alpha = 1e-3 critical value for flip
+    counts against Binomial(n, 1/n); cells expecting under 5 are pooled."""
+    probs = np.array([math.comb(n, k) * (1 / n) ** k * (1 - 1 / n) ** (n - k)
+                      for k in range(n + 1)])
+    counts = np.bincount(flips, minlength=n + 1).astype(float)
+    expected = probs * flips.size
+    keep = expected >= 5
+    stat = (((counts - expected)[keep] ** 2) / expected[keep]).sum()
+    if (~keep).any():
+        stat += ((counts[~keep].sum() - expected[~keep].sum()) ** 2) / expected[~keep].sum()
+    return stat, chi2.ppf(1 - 1e-3, df=keep.sum())
 
 
 class TestMutateRls:
@@ -58,16 +73,8 @@ class TestMutateEa:
             freq = (flips == k).mean()
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(freq - p) <= 3 * sigma
-        # full Binomial(n, 1/n) chi-square at alpha=1e-3
-        probs = np.array([math.comb(n, k) * (1 / n) ** k * (1 - 1 / n) ** (n - k)
-                          for k in range(n + 1)])
-        counts = np.bincount(flips, minlength=n + 1).astype(float)
-        expected = probs * trials
-        keep = expected >= 5
-        stat = (((counts - expected)[keep] ** 2) / expected[keep]).sum()
-        if (~keep).any():
-            stat += ((counts[~keep].sum() - expected[~keep].sum()) ** 2) / expected[~keep].sum()
-        assert stat < chi2.ppf(1 - 1e-3, df=keep.sum())
+        stat, critical = binomial_chisquare(flips, n)
+        assert stat < critical
 
 
 class TestAccept:
@@ -85,7 +92,7 @@ class TestAccept:
         assert accept(2, s, bits("0110")) is True
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="offspring length 3 must match the state's 4$"):
             accept(0, state(0, "0110"), bits("011"))
 
 
@@ -167,11 +174,38 @@ class TestTrajectoryEquivalence:
             assert _trace_hash(kind, -3, 10, 123) == _trace_hash(kind, -3, 10, 123)
 
 
-def reference_trial(kind, w, n, budget, seed, observer=None):
+def field_masks(n, rng):
+    """The (1+1) EA's masks read off the flip field one scalar gap at a time:
+    generation g flips bit j iff cell (g - 1) n + j is a flip cell; the first
+    flip cell is G - 1 and each next one lies G further, G ~ Geometric(1/n)."""
+    cell, base = int(rng.geometric(1 / n)) - 1, 0
+    while True:
+        mask = np.zeros(n, dtype=np.uint8)
+        while cell < base + n:
+            mask[cell - base] = 1
+            cell += int(rng.geometric(1 / n))
+        yield mask
+        base += n
+
+
+def reference_trial(kind, w, n, budget, seed, observer=None, use_step=False):
     """The step-by-step single-parent trial, built from the public ``step``,
-    ``classify`` and ``is_global_optimum``: run_trial must agree with it."""
+    ``accept``, ``classify`` and ``is_global_optimum``: run_trial must agree
+    with it.  RLS iterates ``step``; the (1+1) EA applies ``accept`` to the
+    masks of ``field_masks``, or iterates ``step`` itself with ``use_step``
+    (the same law, other random numbers)."""
     rng = np.random.default_rng(seed)
     state = tl.random_init(n, rng)
+    masks = field_masks(n, rng)
+
+    def advance(s):
+        if kind.name == "rls" or use_step:
+            return tl.step(kind, w, s, rng)
+        offspring = s.current ^ next(masks)
+        if accept(w, s, offspring):
+            return tl.TLState(int(s.current[0]), offspring, s.t + 1, s.g + 1)
+        return tl.TLState(s.prev_first, s.current, s.t, s.g + 1)
+
     event = tl.classify(kind, w, state)
     if observer is not None:
         observer(0, state, True, event)
@@ -180,7 +214,7 @@ def reference_trial(kind, w, n, budget, seed, observer=None):
     if event is not None:
         return tl.TrialOutcome(tl.TrialStatus.STAGNATED, 0, event, state)
     for _ in range(budget):
-        new = tl.step(kind, w, state, rng)
+        new = advance(state)
         accepted = new.t > state.t
         state = new
         event = None
@@ -212,10 +246,50 @@ class Recorder:
         self.calls.append((g, s.t, s.g, s.prev_first, s.current.tobytes(), accepted, event))
 
 
+def trajectory_digest(kind, trial):
+    """sha256 of every observer call and outcome of a grid of seeded trials
+    run by ``trial`` (run_trial's signature)."""
+    h = hashlib.sha256()
+
+    def obs(g, s, accepted, event):
+        h.update(f"{g}|{s.t}|{s.prev_first}|{int(accepted)}|{event}|".encode())
+        h.update(s.current.tobytes())
+
+    for n in (5, 12, 40):
+        for w in (-n, -3, -1, 0, 1, 2, 5):
+            for seed in (0, 77):
+                out = trial(kind, w, n, 500, seed, observer=obs)
+                h.update(f"{out.status.value}|{out.event}|{out.generations}|"
+                         f"{out.final_state.t}|{out.final_state.g}".encode())
+    return h.hexdigest()
+
+
+def ea_two_sample_pvalues(n, w, budget, trials, master):
+    """p-values of run_trial (flip field) against iterated step (masks
+    rng.random(n) < 1/n) for the (1+1) EA, on two samples of independent
+    seeds: chi-square on the outcome class (classes seen under 10 times
+    pooled) and two-sample Kolmogorov-Smirnov on the generation count."""
+    def sample(trial, stream):
+        outs = [trial(tl.ONE_PLUS_ONE_EA, w, n, budget, tl.split_seed(master + stream, i))
+                for i in range(trials)]
+        return [f"{o.status.value}:{o.event}" for o in outs], [o.generations for o in outs]
+
+    engine = sample(tl.run_trial, 0)
+    step = sample(lambda *a: reference_trial(*a, use_step=True), 1)
+    classes = sorted(set(engine[0]) | set(step[0]))
+    table = np.array([[labels.count(c) for c in classes] for labels in (engine[0], step[0])])
+    rare = table.sum(axis=0) < 10
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    p_class = chi2_contingency(table).pvalue if table.shape[1] > 1 else 1.0
+    return p_class, ks_2samp(engine[1], step[1]).pvalue
+
+
 class TestSingleParentEngine:
     @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
     def test_matches_reference_stepper(self, kind):
         # outcome, final state with t and g, and every observer call agree
+        # with step (rls) or the scalar-gap flip field (ea)
         for n in (2, 3, 5, 10, 20, 33):
             for w in (-2 * n, -n - 1, -n, -3, -2, -1, 0, 1, 2, 5, n, 3 * n):
                 for budget in (1, 7, 400):
@@ -230,30 +304,66 @@ class TestSingleParentEngine:
 
     @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
     def test_long_trials_match_reference_stepper(self, kind):
-        # long enough to run through several drawn blocks at both block caps
-        for n, w, seed in ((64, 1, 3), (200, 0, 4), (40, 3, 5), (40, -3, 6)):
+        # long enough to run through several drawn blocks and flip cells
+        # carried over between them; n = 1000 reaches the block cap
+        for n, w, seed in ((64, 1, 3), (200, 0, 4), (40, 3, 5), (40, -3, 6), (1000, 1, 7)):
             out = tl.run_trial(kind, w, n, 20000, seed)
             ref = reference_trial(kind, w, n, 20000, seed)
             assert outcome_key(out) == outcome_key(ref), (n, w, seed)
 
+    @pytest.mark.parametrize("first_rows", [1, 3])
+    @pytest.mark.parametrize("block_draws", [1, 3])
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_block_schedule_does_not_matter(self, kind, block_draws, first_rows,
+                                            monkeypatch):
+        # one-row blocks, one-gap chunks and one-row windows give the same
+        # outcomes and observer calls as the default schedule
+        def runs():
+            seen = []
+            for n, w in ((2, 1), (3, -3), (10, 0), (33, 2), (64, -1)):
+                for budget, seed in ((7, 0), (400, 1), (3000, 2)):
+                    calls = Recorder()
+                    out = tl.run_trial(kind, w, n, budget, seed, observer=calls)
+                    plain = tl.run_trial(kind, w, n, budget, seed)
+                    seen.append((outcome_key(out), calls.calls, outcome_key(plain)))
+            return seen
+
+        want = runs()
+        monkeypatch.setattr(algorithms, "_FIRST_ROWS", first_rows)
+        monkeypatch.setattr(algorithms, "_BLOCK_DRAWS", block_draws)
+        assert runs() == want
+
+    @pytest.mark.parametrize("n", [2, 3, 20])
+    def test_flip_field_counts_are_binomial(self, n):
+        # per-generation flip counts of the drawn blocks against Bin(n, 1/n);
+        # at n <= 3, p = 1/n >= 1/3 and numpy draws geometric gaps by search
+        # instead of by inversion
+        draw = algorithms._flip_source("ea", n, np.random.default_rng(12 + n))
+        blocks, flips = [1, 2, 7, 64, 1000, 5] * 40, []
+        for k in blocks:
+            rows, cols, starts = draw(k)
+            assert ((0 <= cols) & (cols < n)).all() and (np.diff(rows) >= 0).all()
+            flips.append(np.diff(starts))
+        flips = np.concatenate(flips)
+        assert flips.size == sum(blocks)
+        stat, critical = binomial_chisquare(flips, n)
+        assert stat < critical
+
+    @pytest.mark.parametrize("n, w, budget, trials", [(20, 2, 400, 1000), (64, -1, 800, 500)])
+    def test_ea_law_matches_step(self, n, w, budget, trials):
+        p_class, p_generations = ea_two_sample_pvalues(n, w, budget, trials, master=0)
+        assert p_class > 1e-3 and p_generations > 1e-3, (p_class, p_generations)
+
     def test_seeded_trajectories_pinned(self):
-        # every observer call and outcome of rls and ea trials, recorded from
-        # the step-by-step loop that run_trial ran before it skipped rejected
-        # generations
-        h = hashlib.sha256()
-
-        def obs(g, s, accepted, event):
-            h.update(f"{g}|{s.t}|{s.prev_first}|{int(accepted)}|{event}|".encode())
-            h.update(s.current.tobytes())
-
+        # every observer call and outcome of rls and ea trials.  The rls
+        # digest was recorded from the step-by-step loop that run_trial ran
+        # before it skipped rejected generations; the ea digest from the
+        # scalar-gap flip-field loop of reference_trial
+        pinned = {"rls": "74d0160f01bf0e567f5624224280838402809228c472b0a4aabe86a1ed4a1369",
+                  "ea": "be79e27f850be315d9ad26a0db07b83001fbd8b504571dae14132aad0eb8536c"}
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
-            for n in (5, 12, 40):
-                for w in (-n, -3, -1, 0, 1, 2, 5):
-                    for seed in (0, 77):
-                        out = tl.run_trial(kind, w, n, 500, seed, observer=obs)
-                        h.update(f"{out.status.value}|{out.event}|{out.generations}|"
-                                 f"{out.final_state.t}|{out.final_state.g}".encode())
-        assert h.hexdigest() == "705d3f04e30d4535f1639bd171ced9107435b5860c53b88df9c51b57bc0004d9"
+            assert trajectory_digest(kind, tl.run_trial) == pinned[kind.name], kind.name
+            assert trajectory_digest(kind, reference_trial) == pinned[kind.name], kind.name
 
     @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
     def test_handed_out_arrays_never_written(self, kind):
@@ -489,6 +599,19 @@ class TestRunTrial:
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA, tl.mu_plus_one_ea(3)):
             with pytest.raises(ValueError, match=rf"\|w\| must be <= 2\*\*31, got {10**20}$"):
                 tl.run_trial(kind, 10**20, 8, 100, 0)
+
+    def test_non_integer_arguments_refused(self):
+        # int() used to truncate them: n = 2.5 ran on 2-bit strings but tested
+        # the optimum against 2.5, and budget = 10.5 failed inside numpy
+        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA, tl.mu_plus_one_ea(3)):
+            with pytest.raises(TypeError, match="^n must be an integer, got 2.5$"):
+                tl.run_trial(kind, 1, 2.5, 10, 0)
+            with pytest.raises(TypeError, match="^budget must be an integer, got 10.5$"):
+                tl.run_trial(kind, 1, 8, 10.5, 0)
+            with pytest.raises(TypeError, match="^w must be an integer, got 1.5$"):
+                tl.run_trial(kind, 1.5, 8, 10, 0)
+            with pytest.raises(TypeError, match="^seed must be an integer, got 0.5$"):
+                tl.run_trial(kind, 1, 8, 10, 0.5)
 
     def test_outcome_generation_never_exceeds_budget(self):
         for seed in range(20):

@@ -211,17 +211,21 @@ class TestScaling:
 
 class TestTrace:
     def test_output_pinned(self, capsys):
-        # sha256 of the trace output over both kinds, five (n, w) and two
-        # seeds, recorded from the step-by-step trial loop
-        h = hashlib.sha256()
+        # sha256 of the trace output per kind over five (n, w) and two seeds.
+        # The rls digest was recorded from the step-by-step trial loop; the ea
+        # digest from the same command run on the scalar-gap flip-field loop
+        # (reference_trial in tests/test_algorithms.py) in place of run_trial
+        pinned = {"rls": "d694f08849dd0e8e1233e4c312918d19f3ad59024326aa0ffb8f9b3e99a6eb2a",
+                  "ea": "8dde73b865ed2c0545ea229b4c4d702730c8ed6de41a2f400ce5fca3d76cc027"}
         for algo in ("rls", "ea"):
+            h = hashlib.sha256()
             for n, w in ((8, -2), (10, -10), (12, 3), (20, 1), (6, 0)):
                 for seed in (0, 4):
                     code, out, _ = run(capsys, "trace", "--algo", algo, "--n", str(n),
                                        "--w", str(w), "--seed", str(seed))
                     assert code == EXIT_OK
                     h.update(out.encode())
-        assert h.hexdigest() == "ef27963a556b60545a9adb64e45d9c28e0b9193f804bb307e109b4493b3c5a91"
+            assert h.hexdigest() == pinned[algo], algo
 
     def test_terminates_with_outcome_line(self, capsys):
         code, out, _ = run(capsys, "trace", "--algo", "rls", "--n", "6", "--w", "-6",

@@ -110,3 +110,20 @@ def test_validation_guards():
     with pytest.raises(ValueError):
         check_weight(2**31 + 1)
     assert check_weight(-2**31) == -2**31
+
+
+@pytest.mark.parametrize("check, name", [("check_length", "n"), ("check_weight", "w"),
+                                         ("check_seed", "seed")])
+@pytest.mark.parametrize("value", [2.5, 8.0, "3", np.float64(4.5)])
+def test_checks_refuse_non_integers(check, name, value):
+    # int() would truncate 2.5 to 2; operator.index refuses it
+    from tlonemax import core
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        getattr(core, check)(value)
+
+
+def test_checks_accept_numpy_integers():
+    from tlonemax.core import check_count, check_length, check_seed, check_weight
+    for check in (check_length, check_weight, check_seed):
+        assert type(check(np.int64(7))) is int and check(np.uint8(7)) == 7
+    assert check_count("budget", np.int32(3)) == 3

@@ -347,6 +347,15 @@ class TestRefusals:
             assert main(argv) == EXIT_USAGE
             assert f"n must be >= 2, got {n}" in capsys.readouterr().err
 
+    def test_non_integer_weight_and_length_refused(self):
+        # int() used to truncate w = 1.5 and answer the w = 1 question
+        for call in (tl.absorption_probabilities, tl.conditional_hitting_time,
+                     tl.build_transition_matrix, tl.markov.state_classes):
+            with pytest.raises(TypeError, match="^w must be an integer, got 1.5$"):
+                call(tl.RLS, 1.5, 8)
+            with pytest.raises(TypeError, match="^n must be an integer, got 8.0$"):
+                call(tl.RLS, 1, 8.0)
+
     def test_known_defect_points_raise(self):
         # ROADMAP open item 2 (log-domain level solve) is to turn these
         # refusals into answers; until then they must fail loudly, naming
@@ -375,15 +384,33 @@ def _check_population_demo(out):
     assert all(a == b for a, b in rows), rows
 
 
+def _check_monte_carlo_demo(out):
+    # Wilson rows for the three weights; at w = -20 the successes of that
+    # row's 4000 trials and the failure accounting of the same experiment
+    # add up; the exact w = -5 value lies inside the simulated bounds
+    rows = {w: tuple(map(float, v)) for w, *v in
+            re.findall(r"^ +([+-]\d+) +(\S+) +\[(\S+), (\S+)\] +\S+ +(?:True|False)$",
+                       out, re.MULTILINE)}
+    assert sorted(rows) == ["+2", "-1", "-20"], out
+    assert all(low <= p <= high for p, low, high in rows.values()), rows
+    counts = re.search(r"event1=(\d+) event2=(\d+) event3=(\d+) undecided=(\d+)", out)
+    assert counts, out
+    assert sum(map(int, counts.groups())) + round(4000 * rows["-20"][0]) == 4000, out
+    bounds = re.search(r"exact success (\S+); simulated bounds \[(\S+), (\S+)\]", out)
+    assert bounds, out
+    exact, low, high = map(float, bounds.groups())
+    assert low <= exact <= high, out
+
+
 def _check_prints(out):
     # smoke coverage: the demo runs to the end and reports something
     assert out.strip()
 
 
-# demo 04 is left out: it runs for about a minute
 _DEMOS = {"01_benchmark_tour": _check_prints,
           "02_stagnation_anatomy": _check_prints,
           "03_exact_failure_probabilities": _check_exact_demo,
+          "04_monte_carlo_vs_exact": _check_monte_carlo_demo,
           "05_runtime_scaling": _check_prints,
           "06_population_rescue": _check_population_demo}
 

@@ -50,6 +50,14 @@ class TestWilson:
 
 
 class TestConfig:
+    def test_non_integer_counts_refused(self):
+        for field in ("n", "w", "trials", "budget", "master_seed"):
+            values = dict(kind=tl.RLS, n=5, w=0, trials=10, budget=10, master_seed=0)
+            values[field] = 7.5
+            name = "seed" if field == "master_seed" else field
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got 7.5$"):
+                tl.ExperimentConfig(**values)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be >= 2, got 1"):
             tl.ExperimentConfig(kind=tl.RLS, n=1, w=0, trials=10, budget=10)
