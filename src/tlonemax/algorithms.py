@@ -8,16 +8,21 @@ the same mutation law as ``mutate_ea``'s ``rng.random(n) < 1/n``, but other
 random numbers, so seeded (1+1) EA trials differ from those of versions that
 drew n doubles per generation.  The (mu+1) EA has no public
 per-generation stepper.  Its named reference is ``_mu_plus_one_generation``
-on population arrays; ``run_trial`` gives the same trial on fitness buckets
-(``_run_mu_plus_one``), where the members' birth-stamp order is their row
-order and the random calls come in the kernel's order: parent index,
-mutation mask, tie-break index.  All three algorithms evaluate an offspring
-against its parent's *current* first bit as the stored history; RLS and the
-(1+1) EA accept when the offspring fitness is at least the parent's ("at
-least as good" selection).  A trial runs one seeded optimization to
-absorption: global optimum, a proven stagnation event, or budget
-exhaustion.  The generation counter g counts offspring fitness evaluations;
-the implicit evaluation of the initial state is not counted.
+on population arrays, which takes its parent index, flip positions and
+tie-break from the caller; ``run_trial`` gives the same trial on fitness
+buckets (``_run_mu_plus_one``), where the members' birth-stamp order is
+their row order and the bitstrings are Python ints.  After initialisation it
+reads parent indices, flips and tie-breaks from three sub-streams seeded off
+the trial's generator, each drawn in blocks: the law of one generator's
+``rng.integers(mu)``, ``rng.random(n) < 1/n`` and ``rng.integers(size)``
+per generation, but other random numbers, so seeded (mu+1) EA trials differ
+from those of versions that drew so.  All three algorithms evaluate an
+offspring against its parent's *current* first bit as the stored history;
+RLS and the (1+1) EA accept when the offspring fitness is at least the
+parent's ("at least as good" selection).  A trial runs one seeded
+optimization to absorption: global optimum, a proven stagnation event, or
+budget exhaustion.  The generation counter g counts offspring fitness
+evaluations; the implicit evaluation of the initial state is not counted.
 """
 
 from __future__ import annotations
@@ -154,7 +159,8 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
 
 
 #: Most random numbers one draw call makes: the rows of a drawn block (RLS
-#: draws one index per row) and the geometric gaps of one (1+1) EA chunk.
+#: draws one index per row, the (mu+1) EA one parent index), the geometric
+#: gaps of one flip-field chunk and the words of one tie-break block.
 #: A cap of 2**16 is no faster, but it raised the peak memory of 30 trials
 #: per kind at n = 1024, w = 1 by about 2.6 MB.
 _BLOCK_DRAWS = 1 << 12
@@ -286,31 +292,34 @@ def _run_single_parent(kind, w, n, budget, rng, observer):
         r += 1
 
 
-def _mu_plus_one_generation(w, prevs, currents, fits, rng) -> bool:
+def _mu_plus_one_generation(w, prevs, currents, fits, parent, flips, tie) -> bool:
     """One (mu+1) EA generation, in place on the population arrays.  This is
     the named reference for ``_run_mu_plus_one``; ``run_trial`` does not
     call it.
 
     Rows 0..mu-1 of ``prevs`` (stored bits), ``currents`` (bitstrings) and
     ``fits`` (their fitnesses) hold the population; row mu receives the
-    offspring.  A uniformly chosen parent produces one bit-wise-mutation
-    offspring that stores the parent's current first bit; the single
-    worst-fitness member of the mu+1 (offspring included) is removed, ties
-    broken uniformly at random.  With mu=1 this differs from the (1+1) EA's
-    ">=" rule: a strictly worse offspring can survive a fitness tie-break.
+    offspring.  The parent in row ``parent`` produces one bit-wise-mutation
+    offspring, flipping the positions ``flips``, that stores the parent's
+    current first bit; the single worst-fitness member of the mu+1
+    (offspring included) is removed, ties broken by ``tie(size)``, the index
+    among the size minimum-fitness rows.  With mu=1 this differs from the
+    (1+1) EA's ">=" rule: a strictly worse offspring can survive a fitness
+    tie-break.
 
-    Randomness is drawn in the order parent index, mutation mask, tie-break
-    index.  The rows past the removed one shift up, so a surviving offspring
-    ends in row mu-1 and row mu still holds it.  Returns whether it survived.
+    The caller makes the draws: a uniform parent index, positions that each
+    flip with probability 1/n, and a uniform tie-break.  The rows past the
+    removed one shift up, so a surviving offspring ends in row mu-1 and row
+    mu still holds it.  Returns whether it survived.
     """
-    mu, n = currents.shape[0] - 1, currents.shape[1]
-    j = int(rng.integers(mu))
-    offspring = currents[j] ^ (rng.random(n) < 1.0 / n)
-    prevs[mu] = currents[j, 0]
-    currents[mu] = offspring
-    fits[mu] = int(offspring.sum()) + w * int(prevs[mu])
+    mu = currents.shape[0] - 1
+    prevs[mu] = currents[parent, 0]
+    currents[mu] = currents[parent]
+    for c in flips:
+        currents[mu, c] ^= 1
+    fits[mu] = int(currents[mu].sum()) + w * int(prevs[mu])
     candidates = np.flatnonzero(fits == fits.min())
-    removed = int(candidates[int(rng.integers(candidates.size))])
+    removed = int(candidates[tie(candidates.size)])
     if removed == mu:
         return False
     prevs[removed:mu] = prevs[removed + 1:]
@@ -319,63 +328,126 @@ def _mu_plus_one_generation(w, prevs, currents, fits, rng) -> bool:
     return True
 
 
+#: 2**64: the tie-break words are uniform below it.
+_WORDS = 1 << 64
+
+
+def _tie_source(rng):
+    """pick(size): an exactly uniform index below ``size`` >= 2.
+
+    Lemire's multiply-and-reject: a 64-bit word u gives u * size // 2**64
+    unless u * size % 2**64 falls below 2**64 % size (odds below size / 2**64),
+    in which case the next word is tried.  Every index then has exactly
+    floor(2**64 / size) accepted words.  Words are drawn in blocks that
+    double from ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS`` and read in order, so
+    the picks do not depend on the block sizes.
+    """
+    words, i, block = [], 0, _FIRST_ROWS
+
+    def pick(size):
+        nonlocal words, i, block
+        while True:
+            if i == len(words):
+                words, i = rng.bit_generator.random_raw(min(block, _BLOCK_DRAWS)).tolist(), 0
+                block *= 2
+            m = words[i] * size
+            i += 1
+            if m % _WORDS >= _WORDS % size:
+                return m >> 64
+    return pick
+
+
+def _int_bits(x: np.ndarray) -> int:
+    """A uint8 bit array as a Python int with bit j = position j."""
+    return int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
+
+
+def _array_bits(x: int, n: int) -> np.ndarray:
+    """The inverse of ``_int_bits`` for length n."""
+    return np.unpackbits(np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
+                         count=n, bitorder="little")
+
+
 _stamp = itemgetter(0)
 
 
 def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     """(mu+1) EA trials on fitness buckets, generation for generation the
-    same as iterating ``_mu_plus_one_generation`` on population arrays.
+    same as iterating ``_mu_plus_one_generation`` on population arrays with
+    scalar draws from the same three sub-streams.
 
-    Each member is (birth stamp, stored bit, bitstring, ones).  Row order is
-    increasing stamp order: a removal keeps the order of the rest and a
-    surviving offspring goes last.  So ``rows`` lists the members in the
-    reference's row order, a member is found from its stamp by bisection,
-    and ``buckets[f]`` lists the stamps of fitness f in row order: the
-    tie-break's k-th minimum-fitness candidate is ``buckets[lo][k]``, with
-    the offspring, when tied, as the last one.
+    After the mu ``random_init`` draws, two raw words of ``rng`` seed a
+    ``SeedSequence`` whose three children drive the rest: parent indices,
+    drawn as ``integers(mu, size=k)``; mutations, read off the flip field of
+    ``_flip_source("ea", ...)``; and tie-breaks, picked by ``_tie_source``.
+    Parent indices and flips are drawn for blocks of generations that double
+    from ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS``.  Each sub-stream is read in
+    order whatever the block sizes, so a trial does not depend on them.  The
+    law is that of ``rng.integers(mu)``, ``rng.random(n) < 1/n`` and
+    ``rng.integers(size)`` per generation, but seeded trials differ from
+    those of versions that drew so.
 
-    The random calls are the reference's: ``rng.integers(mu)``, then
-    ``rng.random(n)``, then the tie-break ``rng.integers(size)``, which is
-    skipped when size is 1 because numpy returns 0 for it without reading
-    the stream.  An offspring below the minimum fitness ``lo`` is that case
-    and is rejected without further work; its bitstring is built only when
-    it survives.  Bitstrings are never written after they are built, so the
-    snapshots handed out share them.
+    Each member is (birth stamp, stored bit, bitstring, ones, array), the
+    bitstring a Python int with bit j = position j, so a generation costs a
+    few int operations per flipped bit.  Row order is increasing stamp
+    order: a removal keeps the order of the rest and a surviving offspring
+    goes last.  So ``rows`` lists the members in the reference's row order,
+    a member is found from its stamp by bisection, and ``buckets[f]`` lists
+    the stamps of fitness f in row order: the tie-break's k-th
+    minimum-fitness candidate is ``buckets[lo][k]``, with the offspring,
+    when tied, as the last one.  A tie-break of size 1 reads no word, and an
+    offspring below the minimum fitness ``lo`` is that case.
+
+    A member's uint8 array is built once, when it is first handed out: at
+    birth if there is an observer, else for ``final_state``.  Arrays are
+    never written after they are built, so the snapshots share them.
     """
     rows = []
     buckets: dict[int, list[int]] = {}
     for stamp in range(mu):
         s = random_init(n, rng)
         ones = int(s.current.sum())
-        rows.append((stamp, s.prev_first, s.current, ones))
+        rows.append((stamp, s.prev_first, _int_bits(s.current), ones, s.current))
         buckets.setdefault(ones + w * s.prev_first, []).append(stamp)
     lo = min(buckets)
-    p = 1.0 / n
+    seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2).tolist()).spawn(3)
+    parents, flips, ties = (np.random.default_rng(s) for s in seeds)
+    draw, pick = _flip_source("ea", n, flips), _tie_source(ties)
 
     def snapshot():
-        return [PopulationMember(prev, x) for _, prev, x, _ in rows]
+        return [PopulationMember(prev, a if a is not None else _array_bits(x, n))
+                for _, prev, x, _, a in rows]
 
     if observer is not None:
         observer(0, snapshot(), True, None)
-    if any(_is_optimum_parts(w, prev, ones, n) for _, prev, _, ones in rows):
+    if any(_is_optimum_parts(w, prev, ones, n) for _, prev, _, ones, _ in rows):
         return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
+    block = _FIRST_ROWS
+    r = k = 0
     for g in range(1, budget + 1):
-        _, _, x, ones = rows[int(rng.integers(mu))]
-        mask = rng.random(n) < p
-        for c in mask.nonzero()[0].tolist():
-            ones += 1 - 2 * int(x[c])
-        prev = int(x[0])  # the offspring stores its parent's first bit
+        if r == k:
+            k, r = min(block, _BLOCK_DRAWS, budget - g + 1), 0
+            block *= 2
+            picks = parents.integers(mu, size=k).tolist()
+            _, cols, starts = draw(k)
+            cols, starts = cols.tolist(), starts.tolist()
+        _, _, x, ones, _ = rows[picks[r]]
+        prev = x & 1  # the offspring stores its parent's first bit
+        for c in cols[starts[r]:starts[r + 1]]:
+            ones += 1 - 2 * (x >> c & 1)
+            x ^= 1 << c
+        r += 1
         fit = ones + w * prev
         survived = fit >= lo
         if survived:
             bucket = buckets[lo]
             size = len(bucket) + (fit == lo)
-            k = int(rng.integers(size)) if size > 1 else 0
-            survived = k < len(bucket)
+            j = pick(size) if size > 1 else 0
+            survived = j < len(bucket)
         if survived:
-            del rows[bisect_left(rows, bucket.pop(k), key=_stamp)]
+            del rows[bisect_left(rows, bucket.pop(j), key=_stamp)]
             stamp = mu + g  # above every earlier birth stamp
-            rows.append((stamp, prev, x ^ mask, ones))
+            rows.append((stamp, prev, x, ones, None if observer is None else _array_bits(x, n)))
             buckets.setdefault(fit, []).append(stamp)
             if not bucket:
                 del buckets[lo]

@@ -135,7 +135,7 @@ def is_global_optimum(w: int, state: TLState) -> bool:
     The current bitstring must be all ones; the stored previous first bit must
     be 0 for w < 0, 1 for w > 0, and is unrestricted for w = 0.
     """
-    return _is_optimum_parts(w, state.prev_first, int(state.current.sum()), state.n)
+    return _is_optimum_parts(check_weight(w), state.prev_first, int(state.current.sum()), state.n)
 
 
 def random_bitstring(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import AlgorithmKind, TrialStatus, run_trial, split_seed
-from .core import check_count, check_length, check_seed, check_weight
+from .core import _integer, check_count, check_length, check_seed, check_weight
 
 
 def default_budget(n: int) -> int:
@@ -74,6 +74,7 @@ class EstimateResult:
 
 def wilson_ci(k: int, N: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for k successes out of N, clamped to [0, 1]."""
+    k, N = _integer("k", k), _integer("N", N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0 <= k <= N:

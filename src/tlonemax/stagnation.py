@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TLState, fitness
+from .core import TLState, check_weight, fitness
 
 #: One-bit-mutation states stay exactly enumerable up to this length.
 RLS_ORACLE_MAX_N = 16
@@ -74,7 +74,7 @@ def classify(kind, w: int, state: TLState) -> StagnationEvent | None:
                          f"got {kind.name!r}")
     cur_first = int(state.current[0])
     rest_ones = int(state.current[1:].sum())
-    return classify_lumped(kind.name, w, state.n, state.prev_first, cur_first, rest_ones)
+    return classify_lumped(kind.name, check_weight(w), state.n, state.prev_first, cur_first, rest_ones)
 
 
 def is_absorbing_oracle(kind, w: int, state: TLState) -> bool:
@@ -95,8 +95,7 @@ def is_absorbing_oracle(kind, w: int, state: TLState) -> bool:
     if not kind.single_parent:
         raise ValueError("absorption oracle is defined for single-parent kinds only, "
                          f"got {kind.name!r}")
-    x = state.current
-    n = state.n
+    w, x, n = check_weight(w), state.current, state.n
     incumbent = fitness(w, state.prev_first, x)
     cur_first = int(x[0])
 

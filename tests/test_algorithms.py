@@ -1,5 +1,6 @@
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -264,25 +265,23 @@ def trajectory_digest(kind, trial):
     return h.hexdigest()
 
 
-def ea_two_sample_pvalues(n, w, budget, trials, master):
-    """p-values of run_trial (flip field) against iterated step (masks
-    rng.random(n) < 1/n) for the (1+1) EA, on two samples of independent
-    seeds: chi-square on the outcome class (classes seen under 10 times
-    pooled) and two-sample Kolmogorov-Smirnov on the generation count."""
+def two_sample_pvalues(engine, other, trials, master):
+    """p-values of two trial functions, each called as f(seed), on samples
+    of independent seeds: chi-square on the outcome class (classes seen
+    under 10 times pooled) and two-sample Kolmogorov-Smirnov on the
+    generation count."""
     def sample(trial, stream):
-        outs = [trial(tl.ONE_PLUS_ONE_EA, w, n, budget, tl.split_seed(master + stream, i))
-                for i in range(trials)]
+        outs = [trial(tl.split_seed(master + stream, i)) for i in range(trials)]
         return [f"{o.status.value}:{o.event}" for o in outs], [o.generations for o in outs]
 
-    engine = sample(tl.run_trial, 0)
-    step = sample(lambda *a: reference_trial(*a, use_step=True), 1)
-    classes = sorted(set(engine[0]) | set(step[0]))
-    table = np.array([[labels.count(c) for c in classes] for labels in (engine[0], step[0])])
+    a, b = sample(engine, 0), sample(other, 1)
+    classes = sorted(set(a[0]) | set(b[0]))
+    table = np.array([[labels.count(c) for c in classes] for labels in (a[0], b[0])])
     rare = table.sum(axis=0) < 10
     table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
     table = table[:, table.sum(axis=0) > 0]
     p_class = chi2_contingency(table).pvalue if table.shape[1] > 1 else 1.0
-    return p_class, ks_2samp(engine[1], step[1]).pvalue
+    return p_class, ks_2samp(a[1], b[1]).pvalue
 
 
 class TestSingleParentEngine:
@@ -313,19 +312,25 @@ class TestSingleParentEngine:
 
     @pytest.mark.parametrize("first_rows", [1, 3])
     @pytest.mark.parametrize("block_draws", [1, 3])
-    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA, tl.mu_plus_one_ea(1),
+                                      tl.mu_plus_one_ea(4), tl.mu_plus_one_ea(30)],
+                             ids=["rls", "ea", "mu1", "mu4", "mu30"])
     def test_block_schedule_does_not_matter(self, kind, block_draws, first_rows,
                                             monkeypatch):
-        # one-row blocks, one-gap chunks and one-row windows give the same
-        # outcomes and observer calls as the default schedule
+        # one-row blocks, one-gap chunks, one-word tie-break blocks and
+        # one-row windows give the same outcomes and observer calls as the
+        # default schedule
+        key, recorder = ((outcome_key, Recorder) if kind.single_parent
+                         else (population_key, PopulationRecorder))
+
         def runs():
             seen = []
             for n, w in ((2, 1), (3, -3), (10, 0), (33, 2), (64, -1)):
                 for budget, seed in ((7, 0), (400, 1), (3000, 2)):
-                    calls = Recorder()
+                    calls = recorder()
                     out = tl.run_trial(kind, w, n, budget, seed, observer=calls)
                     plain = tl.run_trial(kind, w, n, budget, seed)
-                    seen.append((outcome_key(out), calls.calls, outcome_key(plain)))
+                    seen.append((key(out), calls.calls, key(plain)))
             return seen
 
         want = runs()
@@ -351,7 +356,12 @@ class TestSingleParentEngine:
 
     @pytest.mark.parametrize("n, w, budget, trials", [(20, 2, 400, 1000), (64, -1, 800, 500)])
     def test_ea_law_matches_step(self, n, w, budget, trials):
-        p_class, p_generations = ea_two_sample_pvalues(n, w, budget, trials, master=0)
+        # run_trial's flip field against iterated step's masks
+        # rng.random(n) < 1/n
+        p_class, p_generations = two_sample_pvalues(
+            lambda seed: tl.run_trial(tl.ONE_PLUS_ONE_EA, w, n, budget, seed),
+            lambda seed: reference_trial(tl.ONE_PLUS_ONE_EA, w, n, budget, seed, use_step=True),
+            trials, master=0)
         assert p_class > 1e-3 and p_generations > 1e-3, (p_class, p_generations)
 
     def test_seeded_trajectories_pinned(self):
@@ -398,6 +408,46 @@ def copy_population(arrays):
     return tuple(a.copy() for a in arrays)
 
 
+def old_order_generation(w, prevs, currents, fits, rng):
+    """_mu_plus_one_generation fed in the order of versions that drew every
+    generation from the trial's generator: rng.integers(mu), then the mask
+    rng.random(n) < 1/n, then the tie-break rng.integers(size)."""
+    mu, n = currents.shape[0] - 1, currents.shape[1]
+    parent = int(rng.integers(mu))
+    flips = np.flatnonzero(rng.random(n) < 1 / n)
+    return _mu_plus_one_generation(w, prevs, currents, fits, parent, flips,
+                                   lambda size: int(rng.integers(size)))
+
+
+def lemire_ties(rng):
+    """tie(size): a uniform index below size from scalar 64-bit words,
+    rejecting a word u when u * size % 2**64 < 2**64 % size; size 1 reads
+    no word."""
+    def tie(size):
+        while size > 1:
+            m = int(rng.bit_generator.random_raw()) * size
+            if m % 2**64 >= 2**64 % size:
+                return m >> 64
+        return 0
+    return tie
+
+
+def stream_generation(mu, n, rng):
+    """generation(w, prevs, currents, fits): _mu_plus_one_generation fed
+    scalar draws from three sub-streams, seeded by a SeedSequence of the
+    next two raw words of rng: rng.integers(mu) on the first, the masks of
+    field_masks on the second and lemire_ties on the third."""
+    seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2).tolist()).spawn(3)
+    parents, flips, ties = (np.random.default_rng(s) for s in seeds)
+    masks, tie = field_masks(n, flips), lemire_ties(ties)
+
+    def generation(w, prevs, currents, fits):
+        parent = int(parents.integers(mu))
+        return _mu_plus_one_generation(w, prevs, currents, fits, parent,
+                                       np.flatnonzero(next(masks)), tie)
+    return generation
+
+
 class TestMuPlusOne:
     def test_population_size_preserved(self):
         rng = np.random.default_rng(8)
@@ -407,7 +457,7 @@ class TestMuPlusOne:
             members.append((s.prev_first, s.current))
         prevs, currents, fits = population(-6, members)
         for _ in range(50):
-            _mu_plus_one_generation(-6, prevs, currents, fits, rng)
+            old_order_generation(-6, prevs, currents, fits, rng)
             assert prevs.shape == fits.shape == (6,) and currents.shape == (6, 6)
             assert (fits == currents.sum(axis=1, dtype=np.int64) - 6 * prevs).all()
 
@@ -425,7 +475,7 @@ class TestMuPlusOne:
             j = int(clone.integers(mu))
             off_fit = int(mutate_ea(bits(members[j][1]), clone).sum())
             prevs, currents, fits = copy_population(start)
-            _mu_plus_one_generation(w, prevs, currents, fits, rng)
+            old_order_generation(w, prevs, currents, fits, rng)
             if off_fit == 2:
                 ties += 1
                 # removing the marker in row 0 shifts "1010" into it
@@ -440,7 +490,7 @@ class TestMuPlusOne:
         n, w = 4, -4
         rng = np.random.default_rng(10)
         prevs, currents, fits = population(w, [(1, "1111"), (0, "1111")])
-        _mu_plus_one_generation(w, prevs, currents, fits, rng)
+        old_order_generation(w, prevs, currents, fits, rng)
         # every offspring stores its parent's first bit 1, so a stored-0 row
         # is the original member; it stays unless the offspring tied it at
         # the bottom
@@ -455,30 +505,55 @@ class TestMuPlusOne:
         parent = population(5, [(1, "111111")])
         for _ in range(300):
             prevs, currents, fits = copy_population(parent)
-            _mu_plus_one_generation(5, prevs, currents, fits, rng)
+            old_order_generation(5, prevs, currents, fits, rng)
             assert fits[0] == int(currents[0].sum()) + 5 * prevs[0]
             assert fits[0] >= 11  # the parent's 6 ones + w
 
     def test_seeded_trajectories_pinned(self):
         # every snapshot, accepted flag and outcome of run_trial's population
         # loop, pinned so that a change to its randomness use or member order
-        # shows; the digest was recorded from the array loop while it still
-        # matched a list-based reference stepper step for step
-        h = hashlib.sha256()
+        # shows; the digest was recorded from the scalar-draw loop of
+        # reference_population_trial
+        pinned = "ffcecb32246e9db085ff789b8a31dd7f3bce37ea766cac9791fbc0f959f8a51e"
+        assert population_digest(run_population_trial) == pinned
+        assert population_digest(reference_population_trial) == pinned
 
-        def obs(g, pop, accepted, event):
-            h.update(f"{g}|{int(accepted)}|".encode())
-            for m in pop:
-                h.update(bytes([m.prev_first]))
-                h.update(m.current.tobytes())
+    def test_old_order_kernel_reproduces_earlier_digest(self):
+        # fed its draws in the order of the versions that drew every
+        # generation from one generator, the kernel still gives the digest
+        # that run_trial had then: the kernel itself is unchanged
+        digest = population_digest(
+            lambda *a, **k: reference_population_trial(*a, **k, old_order=True))
+        assert digest == "32deab284f47815bfdb0aaf1b43469378acbe88226bed428406a2029d9a9c52b"
 
-        n = 6
-        for mu in (1, 4, 8):
-            for w in (-n, 0, 5):
-                for seed in (0, 77):
-                    out = tl.run_trial(tl.mu_plus_one_ea(mu), w, n, 300, seed, observer=obs)
-                    h.update(f"{out.status.value}|{out.generations}".encode())
-        assert h.hexdigest() == "32deab284f47815bfdb0aaf1b43469378acbe88226bed428406a2029d9a9c52b"
+    @pytest.mark.parametrize("mu, n, w, budget, trials", [(3, 10, -10, 150, 400),
+                                                          (8, 12, 0, 150, 400)])
+    def test_law_matches_old_order_kernel(self, mu, n, w, budget, trials):
+        # the sub-streams change seeded trials, not their law
+        p_class, p_generations = two_sample_pvalues(
+            lambda seed: tl.run_trial(tl.mu_plus_one_ea(mu), w, n, budget, seed),
+            lambda seed: reference_population_trial(mu, w, n, budget, seed, old_order=True),
+            trials, master=0)
+        assert p_class > 1e-3 and p_generations > 1e-3, (p_class, p_generations)
+
+    def test_tie_source_rejects_biased_words(self):
+        # a word u is rejected when u * size % 2**64 < 2**64 % size: for
+        # size 3 that is only u = 0; for size 2**63 + 1 it is every even u
+        # below 2**63 - 1, such as 4 and 2**63 - 2
+        supply = iter([0, 2**63, 2**64 - 1, 4, 2**63 - 2, 1, 2**64 - 1])
+        stream = types.SimpleNamespace(bit_generator=types.SimpleNamespace(
+            random_raw=lambda k: np.array([next(supply, 0) for _ in range(k)], dtype=np.uint64)))
+        pick = algorithms._tie_source(stream)
+        assert [pick(3), pick(3)] == [1, 2]
+        assert [pick(2**63 + 1), pick(2**63 + 1)] == [0, 2**63]
+
+    @pytest.mark.parametrize("size", [2, 3, 7, 120])
+    def test_tie_source_is_uniform(self, size):
+        pick = algorithms._tie_source(np.random.default_rng(size))
+        picks = np.array([pick(size) for _ in range(300 * size)])
+        assert ((0 <= picks) & (picks < size)).all()
+        stat = ((np.bincount(picks, minlength=size) - 300) ** 2 / 300).sum()
+        assert stat < chi2.ppf(1 - 1e-3, df=size - 1)
 
     def test_engine_matches_reference_kernel(self):
         # outcome, final population and every observer call agree with the
@@ -489,8 +564,7 @@ class TestMuPlusOne:
                     for budget in (1, 7, 400):
                         for seed in (0, 1, 77):
                             got, want = PopulationRecorder(), PopulationRecorder()
-                            out = tl.run_trial(tl.mu_plus_one_ea(mu), w, n, budget, seed,
-                                               observer=got)
+                            out = run_population_trial(mu, w, n, budget, seed, observer=got)
                             ref = reference_population_trial(mu, w, n, budget, seed,
                                                              observer=want)
                             case = (mu, n, w, budget, seed)
@@ -513,9 +587,10 @@ class TestMuPlusOne:
             assert m.prev_first == prev and np.array_equal(m.current, snapshot)
 
 
-def reference_population_trial(mu, w, n, budget, seed, observer=None):
-    """The (mu+1) EA trial as a loop around ``_mu_plus_one_generation``:
-    run_trial must agree with it."""
+def reference_population_trial(mu, w, n, budget, seed, observer=None, old_order=False):
+    """The (mu+1) EA trial as a loop around ``_mu_plus_one_generation`` with
+    the draws of stream_generation, or of old_order_generation with
+    ``old_order``: run_trial must agree with the first."""
     rng = np.random.default_rng(seed)
     prevs = np.zeros(mu + 1, dtype=np.int64)
     currents = np.zeros((mu + 1, n), dtype=np.uint8)
@@ -523,6 +598,11 @@ def reference_population_trial(mu, w, n, budget, seed, observer=None):
         s = tl.random_init(n, rng)
         prevs[i], currents[i] = s.prev_first, s.current
     fits = currents.sum(axis=1, dtype=np.int64) + w * prevs
+    if old_order:
+        def generation(*arrays):
+            return old_order_generation(*arrays, rng)
+    else:
+        generation = stream_generation(mu, n, rng)
 
     def snapshot():
         return [tl.PopulationMember(int(prevs[i]), currents[i].copy()) for i in range(mu)]
@@ -535,12 +615,37 @@ def reference_population_trial(mu, w, n, budget, seed, observer=None):
     if any(optimum(i) for i in range(mu)):
         return tl.TrialOutcome(tl.TrialStatus.OPTIMUM, 0, None, snapshot())
     for g in range(1, budget + 1):
-        survived = _mu_plus_one_generation(w, prevs, currents, fits, rng)
+        survived = generation(w, prevs, currents, fits)
         if observer is not None:
             observer(g, snapshot(), survived, None)
         if survived and optimum(mu):
             return tl.TrialOutcome(tl.TrialStatus.OPTIMUM, g, None, snapshot())
     return tl.TrialOutcome(tl.TrialStatus.BUDGET, budget, None, snapshot())
+
+
+def run_population_trial(mu, w, n, budget, seed, observer=None):
+    return tl.run_trial(tl.mu_plus_one_ea(mu), w, n, budget, seed, observer=observer)
+
+
+def population_digest(trial):
+    """sha256 of every snapshot, accepted flag and outcome of a grid of
+    seeded trials run by ``trial`` (reference_population_trial's
+    signature)."""
+    h = hashlib.sha256()
+
+    def obs(g, pop, accepted, event):
+        h.update(f"{g}|{int(accepted)}|".encode())
+        for m in pop:
+            h.update(bytes([m.prev_first]))
+            h.update(m.current.tobytes())
+
+    n = 6
+    for mu in (1, 4, 8):
+        for w in (-n, 0, 5):
+            for seed in (0, 77):
+                out = trial(mu, w, n, 300, seed, observer=obs)
+                h.update(f"{out.status.value}|{out.generations}".encode())
+    return h.hexdigest()
 
 
 def members_key(pop):

@@ -122,6 +122,12 @@ def test_checks_refuse_non_integers(check, name, value):
         getattr(core, check)(value)
 
 
+def test_is_global_optimum_refuses_non_integer_weight():
+    # 0.5 used to count as a positive weight
+    with pytest.raises(TypeError, match="^w must be an integer, got 0.5$"):
+        tl.is_global_optimum(0.5, tl.TLState(0, tl.as_bits("1111")))
+
+
 def test_checks_accept_numpy_integers():
     from tlonemax.core import check_count, check_length, check_seed, check_weight
     for check in (check_length, check_weight, check_seed):

@@ -30,6 +30,14 @@ class TestWilson:
         assert abs(lo - (center - half)) <= 1e-15
         assert abs(hi - (center + half)) <= 1e-15
 
+    def test_non_integer_counts_refused(self):
+        # wilson_ci(2.5, 4.5) used to answer (0.192, 0.868)
+        with pytest.raises(TypeError, match="^k must be an integer, got 2.5$"):
+            tl.wilson_ci(2.5, 4.5)
+        with pytest.raises(TypeError, match="^N must be an integer, got 4.5$"):
+            tl.wilson_ci(2, 4.5)
+        assert tl.wilson_ci(np.int64(2), np.int32(4)) == tl.wilson_ci(2, 4)
+
     def test_guards(self):
         with pytest.raises(ValueError):
             tl.wilson_ci(0, 0)

@@ -50,6 +50,12 @@ class TestClassify:
         assert tl.classify(tl.ONE_PLUS_ONE_EA, -2, state(0, "111010")) is None
         assert tl.classify(tl.ONE_PLUS_ONE_EA, -2, state(0, "111011")) is E1
 
+    def test_non_integer_weight_refused(self):
+        # -2.5 used to be compared as it was: both answered event1 here
+        for check in (tl.classify, tl.is_absorbing_oracle):
+            with pytest.raises(TypeError, match="^w must be an integer, got -2.5$"):
+                check(tl.ONE_PLUS_ONE_EA, -2.5, state(0, "111011"))
+
     def test_never_fires_on_optimum(self):
         for n in range(2, 9):
             ones = "1" * n
