@@ -1,12 +1,15 @@
 """Steppers for the time-linkage RLS and (1+1) EA, plus trials of all three.
 
-``step`` is the named reference for one single-parent generation;
-``run_trial`` does not call it, but skips rejected generations in blocks.
-For RLS it gives the same trial as iterating ``step``.  For the (1+1) EA it
-reads every mask off one flip field of geometric gaps (``_flip_source``):
-the same mutation law as ``mutate_ea``'s ``rng.random(n) < 1/n``, but other
-random numbers, so seeded (1+1) EA trials differ from those of versions that
-drew n doubles per generation.  The (mu+1) EA has no public
+``step`` is the named reference for one single-parent generation.  RLS and
+(1+1) EA trials run on one batch engine, ``_run_batch``, which steps many
+trials at once, each on its own generator, and skips rejected generations
+with array searches; ``run_trial`` hands it one generator, and
+``montecarlo`` hands it blocks of consecutive trials.  For RLS a trial is
+the same as iterating ``step``.  For the (1+1) EA it reads every mask off
+one flip field of geometric gaps (``_flip_cells``): the same mutation law
+as ``mutate_ea``'s ``rng.random(n) < 1/n``, but other random numbers, so
+seeded (1+1) EA trials differ from those of versions that drew n doubles
+per generation.  The (mu+1) EA has no public
 per-generation stepper.  Its named reference is ``_mu_plus_one_generation``
 on population arrays, which takes its parent index, flip positions and
 tie-break from the caller; ``run_trial`` gives the same trial on fitness
@@ -34,7 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import (TLState, _is_optimum_parts, check_count, check_length, check_seed,
+from .core import (TLState, _integer, _is_optimum_parts, check_count, check_length, check_seed,
                    check_weight, fitness, random_init)
 from .stagnation import StagnationEvent, classify_lumped
 
@@ -50,8 +53,10 @@ class AlgorithmKind:
         if self.name not in ("rls", "ea", "mu-ea"):
             raise ValueError(f"unknown algorithm kind {self.name!r}")
         if self.name == "mu-ea":
-            if self.mu is None or self.mu < 1:
+            mu = None if self.mu is None else _integer("mu", self.mu)
+            if mu is None or mu < 1:
                 raise ValueError(f"mu-ea requires mu >= 1, got {self.mu}")
+            object.__setattr__(self, "mu", mu)
         elif self.mu is not None:
             raise ValueError(f"{self.name} takes no mu")
 
@@ -154,16 +159,18 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
     budget, w, n = check_count("budget", budget), check_weight(w), check_length(n)
     rng = np.random.default_rng(check_seed(seed))
     if kind.single_parent:
-        return _run_single_parent(kind, w, n, budget, rng, observer)
+        return _run_batch(kind.name, w, n, budget, [rng], observer)[0]
     return _run_mu_plus_one(kind.mu, w, n, budget, rng, observer)
 
 
 #: Most random numbers one draw call makes: the rows of a drawn block (RLS
 #: draws one index per row, the (mu+1) EA one parent index), the geometric
-#: gaps of one flip-field chunk and the words of one tie-break block.
-#: A cap of 2**16 is no faster, but it raised the peak memory of 30 trials
-#: per kind at n = 1024, w = 1 by about 2.6 MB.
-_BLOCK_DRAWS = 1 << 12
+#: gaps of one flip-field chunk and the words of one tie-break block; also
+#: the most rows a window of ``_run_batch`` searches.  Every trial of a
+#: batch holds up to 1.5 blocks of drawn rows: with a cap of 2**12, the
+#: runtime-scaling trials at n = 256 and 1024, w = 1, 30 per kind, peaked
+#: at 9.6 MB of arrays instead of 1.5 MB, and ran no faster.
+_BLOCK_DRAWS = 1 << 9
 
 #: Rows of the first drawn block and of the first searched window.  Blocks
 #: double up to the cap, so short trials draw little past their end; the
@@ -172,10 +179,9 @@ _BLOCK_DRAWS = 1 << 12
 _FIRST_ROWS = 16
 
 
-def _flip_source(kind_name, n, rng):
-    """draw(k): the positions flipped by the next k generations' mutations,
-    in compressed rows: row r flips cols[starts[r]:starts[r + 1]], and
-    rows[i] is the row of cols[i].
+def _flip_cells(kind_name, n, rng):
+    """cells(k): the flip cells of the next k generations' mutations, sorted;
+    cell r n + j stands for bit j of the r-th of them.
 
     RLS reads the generator's stream exactly as per-generation draws do:
     ``rng.integers(n, size=k)`` gives the values of k calls
@@ -192,104 +198,203 @@ def _flip_source(kind_name, n, rng):
     draw calls; ``_BLOCK_DRAWS`` bounds it.
     """
     if kind_name == "rls":
-        def draw(k):
-            return np.arange(k), rng.integers(n, size=k), np.arange(k + 1)
-        return draw
+        return lambda k: np.arange(0, k * n, n) + rng.integers(n, size=k)
     p = 1.0 / n
     # drawn flip cells not yet handed out, counted from the next block's
     # first cell, and the last drawn one
     field, last = np.empty(0, dtype=np.int64), -1
 
-    def draw(k):
+    def cells(k):
         nonlocal field, last
-        end, chunks = k * n, [field]
-        while last < end:
-            chunks.append(last + np.cumsum(rng.geometric(p, size=min(4 * k + 32, _BLOCK_DRAWS))))
-            last = int(chunks[-1][-1])
-        cells = np.concatenate(chunks)
-        cut = int(np.searchsorted(cells, end))
-        field, last = cells[cut:] - end, last - end
-        rows, cols = np.divmod(cells[:cut], n)
+        end = k * n
+        if last < end:
+            chunks = [field]
+            while last < end:
+                chunks.append(last + rng.geometric(p, size=min(4 * k + 32, _BLOCK_DRAWS)).cumsum())
+                last = int(chunks[-1][-1])
+            field = np.concatenate(chunks)
+        cut = int(field.searchsorted(end))
+        drawn, field, last = field[:cut], field[cut:] - end, last - end
+        return drawn
+    return cells
+
+
+def _flip_source(kind_name, n, rng):
+    """draw(k): the positions flipped by the next k generations' mutations
+    (``_flip_cells``), in compressed rows: row r flips
+    cols[starts[r]:starts[r + 1]], and rows[i] is the row of cols[i]."""
+    cells = _flip_cells(kind_name, n, rng)
+
+    def draw(k):
+        rows, cols = np.divmod(cells(k), n)
         return rows, cols, np.searchsorted(rows, np.arange(k + 1))
     return draw
 
 
-def _run_single_parent(kind, w, n, budget, rng, observer):
-    """RLS and (1+1) EA trials on incremental counts, generation for
-    generation the same as iterating ``step`` from ``random_init``, with the
-    (1+1) EA's masks read off the flip field of ``_flip_source``.
+def _ranges(starts, lengths):
+    """The ranges [starts[i], starts[i] + lengths[i]) end to end, and the
+    offset of each in the result."""
+    ends = lengths.cumsum()
+    offsets = ends - lengths
+    return np.arange(ends[-1]) + (starts - offsets).repeat(lengths), offsets
 
-    The state (prev, x) is kept with x1 = x[0] and its ones-count.  Mutations
-    are drawn in blocks, and each block is searched with array operations for
-    the next generation that changes the state: an offspring flipping the
+
+def _run_batch(kind_name, w, n, budget, rngs, observer=None):
+    """RLS or (1+1) EA trials, one per generator in ``rngs``, stepped
+    together.  Each is generation for generation the same as iterating
+    ``step`` from ``random_init`` on its own generator, with the (1+1) EA's
+    masks read off its flip field (``_flip_cells``), so it does not depend
+    on the other trials.  Returns the outcomes in the order of ``rngs``;
+    ``observer`` takes a single generator.
+
+    A trial's state (prev, x) is kept as x1 = x[0], its ones-count and its
+    row of gains 1 - 2 x_j, followed by a 0.  An offspring flipping the
     positions F gains delta = sum over F of (1 - 2 x_j) ones and is accepted
-    iff delta >= w (prev - x1).  The generations before it were rejected or,
-    for an empty EA mask with prev == x1, accepted without any change; they
-    only advance g (and t), and are handed to the observer, if any, one by
-    one.  Each change makes a new bitstring, so no array handed out is
-    written again.
+    iff delta >= w (prev - x1).  Each step searches a window of every
+    trial's next drawn generations for the first one that changes its
+    state, all trials at once: the generations of all windows lie end to
+    end, and the drawn flips of all trials lie in one table of gain
+    indices, one column per generation, padded with the index of the
+    trial's 0.  So a step costs a fixed number of array operations, however
+    many trials are in the batch.  The generations before a change were
+    rejected or, for an empty EA mask with prev == x1, accepted without any
+    change; they only advance g (and t), and are handed to the observer, if
+    any, one by one.  A window doubles while nothing changes, up to
+    ``_BLOCK_DRAWS`` rows, and restarts at ``_FIRST_ROWS`` after a change.
+
+    When a trial has read all its drawn generations, every trial with less
+    than half its next block left draws that block; blocks double from
+    ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS`` rows.  Each generator is read in
+    order whatever the block sizes.  A trial leaves the batch at the
+    optimum, at a proven stagnation event or at the budget.  Every
+    handed-out bitstring is a new array, never written again.
     """
-    init = random_init(n, rng)
-    prev, x, t, g = init.prev_first, init.current, 1, 0
-    x1, ones = int(x[0]), int(x.sum())
-    gain = 1 - 2 * x.astype(np.int64)
-    draw = _flip_source(kind.name, n, rng)
-    block = _FIRST_ROWS
-    r = k = 0
+    m, width = len(rngs), n + 1
+    inits = [random_init(n, rng) for rng in rngs]
+    draws = [_flip_cells(kind_name, n, rng) for rng in rngs]
+    outcomes = [None] * m
+    gain = np.zeros((m, width), dtype=np.int8)
+    gain[:, :n] = 1 - 2 * np.array([s.current for s in inits], dtype=np.int8)
+    flat = gain.reshape(-1)
+    # one row per field, one column per trial in the batch: its generator
+    # and row of gains, prev, x1, ones, t, g, its unread drawn generations
+    # (columns row..end-1 of the table), its window and its next block
+    trials = np.zeros((10, m), dtype=np.int64)
+    trials[0] = np.arange(m)
+    trials[1] = [s.prev_first for s in inits]
+    trials[2] = gain[:, 0] < 0
+    trials[3] = np.count_nonzero(gain < 0, axis=1)
+    trials[4] = 1
+    trials[8] = _FIRST_ROWS
+    trials[9] = min(_FIRST_ROWS, _BLOCK_DRAWS)
+    table = np.empty((1, 0), dtype=np.min_scalar_type(m * width))
+
+    def state(s, prev, t, g):
+        return TLState(prev, (gain[s, :n] < 0).astype(np.uint8), t, g)
+
+    def settle(positions):
+        """Optimum test and classification of the trials at ``positions``,
+        whose state was just initialised or changed; returns those that end."""
+        ended = []
+        for p, (s, prev, x1, ones, t, g) in zip(positions.tolist(),
+                                                 trials[:6, positions].T.tolist()):
+            optimum = _is_optimum_parts(w, prev, ones, n)
+            event = None if optimum else classify_lumped(kind_name, w, n, prev, x1, ones - x1)
+            if observer is None and not optimum and event is None:
+                continue
+            st = state(s, prev, t, g)
+            if observer is not None:
+                observer(g, st, True, event)
+            if optimum or event is not None:
+                status = TrialStatus.OPTIMUM if optimum else TrialStatus.STAGNATED
+                outcomes[s] = TrialOutcome(status, g, event, st)
+                ended.append(p)
+        return ended
+
+    ended = settle(np.arange(m))
     while True:
-        # (prev, x) was just initialised or changed by generation g
-        state = TLState(prev, x, t, g)
-        optimum = _is_optimum_parts(w, prev, ones, n)
-        event = None if optimum else classify_lumped(kind.name, w, n, prev, x1, ones - x1)
+        if ended:
+            keep = np.ones(trials.shape[1], dtype=bool)
+            keep[ended] = False
+            trials = trials[:, keep]
+            if not keep.any():
+                return outcomes
+        slot, prev, x1, ones, t, g, row, end, window, block = trials
+        left = end - row
+        if not left.all():
+            k = np.minimum(block, budget - g - left)
+            k[2 * left >= block] = 0
+            block[k > 0] = np.minimum(2 * block[k > 0], _BLOCK_DRAWS)
+            size = left + k
+            end[:] = size.cumsum()
+            start = end - size
+            drawing = k.nonzero()[0]
+            fresh = [draws[s](kk) + (e - kk) * n for s, kk, e in
+                     zip(slot[drawing].tolist(), k[drawing].tolist(), end[drawing].tolist())]
+            counts = [c.size for c in fresh]
+            rows, cols = np.divmod(np.concatenate(fresh), n)
+            del fresh
+            cols += (slot[drawing] * width).repeat(counts)
+            # the place of each flip in its generation's column
+            place = rows.searchsorted(rows)
+            np.subtract(np.arange(place.size), place, out=place)
+            old, table = table, np.empty((max(table.shape[0], int(place.max(initial=0)) + 1),
+                                          end[-1]), table.dtype)
+            table[:] = (slot * width + n).astype(table.dtype).repeat(size)
+            table[:old.shape[0], _ranges(start, left)[0]] = old.take(_ranges(row, left)[0], axis=1)
+            table[place, rows] = cols
+            row[:] = start
+            left = size
+
+        # the first state change in every trial's window
+        length = np.minimum(window, left)
+        ends = length.cumsum()
+        offsets = ends - length
+        at = np.arange(ends[-1])
+        cells = table.take(at + (row - offsets).repeat(length), axis=1)
+        gains = flat.take(cells)
+        delta = gains.sum(axis=0)
+        accepted = changes = delta >= (w * (prev - x1)).repeat(length)
+        if kind_name == "ea":
+            # an empty mask (first gain 0) is accepted and, with prev == x1,
+            # changes nothing
+            changes = accepted & ((gains[0] != 0) | (prev != x1).repeat(length))
+        first = np.minimum.reduceat(np.where(changes, at, ends[-1]), offsets)
+        found = first < ends
+        j = np.minimum(first, ends) - offsets
         if observer is not None:
-            observer(g, state, True, event)
-        if optimum:
-            return TrialOutcome(TrialStatus.OPTIMUM, g, None, state)
-        if event is not None:
-            return TrialOutcome(TrialStatus.STAGNATED, g, event, state)
-        window = _FIRST_ROWS
-        while True:
-            if r == k:
-                if g == budget:
-                    return TrialOutcome(TrialStatus.BUDGET, g, None, TLState(prev, x, t, g))
-                k, r = min(block, _BLOCK_DRAWS, budget - g), 0
-                block *= 2
-                rows, cols, starts = draw(k)
-                flips = np.diff(starts)
-                flipping, single = flips > 0, bool((flips == 1).all())
-            end = min(k, r + window)
-            lo, hi = starts[r], starts[end]
-            delta = gain[cols[lo:hi]]
-            if not single:
-                delta = np.bincount(rows[lo:hi] - r, weights=delta, minlength=end - r)
-            accepted = changes = delta >= w * (prev - x1)
-            if prev == x1 and not single:
-                # an empty mask is accepted and changes nothing
-                changes = accepted & flipping[r:end]
-            j = int(changes.argmax())
-            found = bool(changes[j])
-            if not found:
-                j = end - r
-            if observer is None:
-                t += int(np.count_nonzero(accepted[:j])) if changes is not accepted else 0
-                g += j
-            else:
-                for a in accepted[:j].tolist():
-                    g += 1
-                    t += a
-                    observer(g, TLState(prev, x, t, g), a, None)
-            r += j
-            if found:
-                break
-            window *= 2
-        x = x.copy()
-        for c in cols[starts[r]:starts[r + 1]].tolist():
-            x[c] ^= 1
-            gain[c] = -gain[c]
-        prev, x1, ones = x1, int(x[0]), ones + int(delta[j])
-        t += 1
-        g += 1
-        r += 1
+            s, pv, tt, gg = trials[[0, 1, 4, 5], 0].tolist()
+            x = (gain[s, :n] < 0).astype(np.uint8)
+            for a in accepted[:j[0]].tolist():
+                gg += 1
+                tt += a
+                observer(gg, TLState(pv, x, tt, gg), a, None)
+        if kind_name == "ea":
+            skipped = np.zeros(ends[-1] + 1, dtype=np.int64)
+            accepted.cumsum(out=skipped[1:])
+            t += skipped.take(offsets + j) - skipped.take(offsets)
+        j += found
+        trials[5:7] += j  # g and row
+        t += found
+        window <<= 1
+        np.minimum(window, _BLOCK_DRAWS, out=window)
+
+        # apply the changes
+        f = found.nonzero()[0]
+        if f.size:
+            window[f] = _FIRST_ROWS
+            hit = first[f]
+            flat[cells.take(hit, axis=1)] = -gains.take(hit, axis=1)
+            ones[f] += delta.take(hit)
+            prev[f] = x1[f]
+            x1[f] = flat.take(slot[f] * width) < 0
+        ended = settle(f)
+        if budget in g:
+            over = (g == budget).nonzero()[0]
+            for p, (s, pv, _, _, tt, gg) in zip(over.tolist(), trials[:6, over].T.tolist()):
+                if outcomes[s] is None:
+                    outcomes[s] = TrialOutcome(TrialStatus.BUDGET, gg, None, state(s, pv, tt, gg))
+                    ended.append(p)
 
 
 def _mu_plus_one_generation(w, prevs, currents, fits, parent, flips, tie) -> bool:
@@ -400,7 +505,9 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
 
     A member's uint8 array is built once, when it is first handed out: at
     birth if there is an observer, else for ``final_state``.  Arrays are
-    never written after they are built, so the snapshots share them.
+    never written after they are built, so the snapshots share them.  A
+    rejected generation leaves the population as it was, so the observer is
+    handed the previous snapshot list again.
     """
     rows = []
     buckets: dict[int, list[int]] = {}
@@ -419,7 +526,8 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
                 for _, prev, x, _, a in rows]
 
     if observer is not None:
-        observer(0, snapshot(), True, None)
+        shown = snapshot()
+        observer(0, shown, True, None)
     if any(_is_optimum_parts(w, prev, ones, n) for _, prev, _, ones, _ in rows):
         return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
     block = _FIRST_ROWS
@@ -453,7 +561,9 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
                 del buckets[lo]
                 lo = min(buckets)
         if observer is not None:
-            observer(g, snapshot(), survived, None)
+            if survived:
+                shown = snapshot()
+            observer(g, shown, survived, None)
         if survived and _is_optimum_parts(w, prev, ones, n):
             return TrialOutcome(TrialStatus.OPTIMUM, g, None, snapshot())
     return TrialOutcome(TrialStatus.BUDGET, budget, None, snapshot())

@@ -1,9 +1,13 @@
 """Trial execution at scale: probability estimates with Wilson intervals and
 runtime-scaling tables.
 
-Trials are embarrassingly parallel; trial i always runs with the seed derived
-from (master_seed, i), and aggregation is order-independent, so results are
-identical at any worker count.
+Trial i always runs on its own generator, seeded from (master_seed, i), and
+aggregation is order-independent, so results are identical at any worker
+count.  The trials of a config run in blocks of consecutive indices, serially
+or one block per process-pool task.  RLS and (1+1) EA blocks go through the
+batch engine ``algorithms._run_batch``, which steps a block's trials
+together; each trial is the one ``run_trial`` gives for its seed.  (mu+1) EA
+blocks call ``run_trial`` trial by trial.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AlgorithmKind, TrialStatus, run_trial, split_seed
+from .algorithms import AlgorithmKind, TrialStatus, _run_batch, run_trial, split_seed
 from .core import _integer, check_count, check_length, check_seed, check_weight
 
 
@@ -89,23 +93,36 @@ def wilson_ci(k: int, N: int, z: float = 1.96) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _trial_summary(args) -> tuple[str, str | None, int]:
-    kind_name, mu, w, n, budget, seed = args
-    out = run_trial(AlgorithmKind(kind_name, mu), w, n, budget, seed)
-    return (out.status.value, out.event.value if out.event is not None else None,
-            out.generations)
+#: Most trials one call of the batch engine steps together.  Larger blocks
+#: spread its fixed cost per step over more trials; about 1 MB of arrays
+#: per block of n = 20 trials.
+_BLOCK_TRIALS = 128
+
+
+def _block_summaries(args) -> list[tuple[str, str | None, int]]:
+    """(status, event, generations) of the trials start..stop-1 of a config."""
+    kind_name, mu, w, n, budget, master_seed, start, stop = args
+    seeds = [split_seed(master_seed, i) for i in range(start, stop)]
+    if mu is None:
+        outcomes = _run_batch(kind_name, w, n, budget, [np.random.default_rng(s) for s in seeds])
+    else:  # one at a time: a final population holds mu arrays
+        outcomes = (run_trial(AlgorithmKind(kind_name, mu), w, n, budget, s) for s in seeds)
+    return [(o.status.value, o.event.value if o.event is not None else None, o.generations)
+            for o in outcomes]
 
 
 def _run_trials(cfg: ExperimentConfig, workers: int) -> list:
     """Summaries of cfg's trials in trial order, serially or on a process pool."""
     check_count("workers", workers)
-    args = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget,
-             split_seed(cfg.master_seed, i)) for i in range(cfg.trials)]
+    # blocks of consecutive trial indices, at least one per worker
+    size = min(_BLOCK_TRIALS, -(-cfg.trials // workers))
+    blocks = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget, cfg.master_seed,
+               start, min(start + size, cfg.trials))
+              for start in range(0, cfg.trials, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_trial_summary, args,
-                                 chunksize=max(1, cfg.trials // (8 * workers))))
-    return [_trial_summary(a) for a in args]
+            return [s for block in pool.map(_block_summaries, blocks) for s in block]
+    return [s for block in blocks for s in _block_summaries(block)]
 
 
 def estimate(cfg: ExperimentConfig, workers: int = 1) -> EstimateResult:

@@ -743,3 +743,16 @@ def test_algorithm_kind_validation():
         tl.AlgorithmKind("rls", mu=3)
     assert tl.mu_plus_one_ea(4).mu == 4
     assert tl.RLS.single_parent and not tl.mu_plus_one_ea(2).single_parent
+
+
+def test_non_integer_mu_refused():
+    # mu_plus_one_ea(2.5) used to be accepted and fail later inside run_trial;
+    # mu_plus_one_ea('3') failed comparing a str with an int
+    with pytest.raises(TypeError, match="^mu must be an integer, got 2.5$"):
+        tl.mu_plus_one_ea(2.5)
+    with pytest.raises(TypeError, match="^mu must be an integer, got '3'$"):
+        tl.mu_plus_one_ea("3")
+    with pytest.raises(ValueError, match="^mu-ea requires mu >= 1, got -2$"):
+        tl.mu_plus_one_ea(-2)
+    kind = tl.mu_plus_one_ea(np.int64(3))
+    assert kind == tl.mu_plus_one_ea(3) and type(kind.mu) is int

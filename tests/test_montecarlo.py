@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tlonemax as tl
+from tlonemax import algorithms, montecarlo
 
 
 class TestWilson:
@@ -171,3 +173,72 @@ class TestRuntimeScaling:
         b = tl.runtime_scaling(tl.ONE_PLUS_ONE_EA, 1, [16], trials=15, master_seed=8,
                                workers=2)
         assert a == b
+
+
+def summary(out):
+    return (out.status.value, out.event.value if out.event is not None else None,
+            out.generations)
+
+
+def one_by_one(cfg):
+    """cfg's trial summaries from run_trial, one trial at a time."""
+    return [summary(tl.run_trial(cfg.kind, cfg.w, cfg.n, cfg.budget,
+                                 tl.split_seed(cfg.master_seed, i)))
+            for i in range(cfg.trials)]
+
+
+class TestBatchedTrials:
+    # estimate and runtime_scaling step the trials of a config in blocks of
+    # consecutive indices through one batch engine; every trial must be the
+    # one run_trial gives on its own stream
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 64, 256])
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_matches_run_trial(self, kind, n):
+        for w in (-2 * n, -n - 1, -n, -3, -2, -1, 0, 1, 2, 5, n, 3 * n):
+            for budget in (1, 7, 400, 3000):
+                cfg = tl.ExperimentConfig(kind=kind, n=n, w=w, trials=40, budget=budget,
+                                          master_seed=31)
+                assert montecarlo._run_trials(cfg, 1) == one_by_one(cfg), (n, w, budget)
+
+    @pytest.mark.parametrize("first_rows", [1, 3])
+    @pytest.mark.parametrize("block_draws", [1, 3])
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_block_schedule_does_not_matter(self, kind, block_draws, first_rows,
+                                            monkeypatch):
+        # one-row blocks and windows give the same trials as the default
+        # schedule
+        cfgs = [tl.ExperimentConfig(kind=kind, n=n, w=w, trials=40, budget=budget,
+                                    master_seed=8)
+                for n, w, budget in ((3, -3, 7), (10, 0, 400), (20, 2, 400), (33, -1, 600))]
+        want = [montecarlo._run_trials(cfg, 1) for cfg in cfgs]
+        monkeypatch.setattr(algorithms, "_FIRST_ROWS", first_rows)
+        monkeypatch.setattr(algorithms, "_BLOCK_DRAWS", block_draws)
+        assert [montecarlo._run_trials(cfg, 1) for cfg in cfgs] == want
+
+    @pytest.mark.parametrize("budget", [tl.default_budget(12), 9])
+    def test_worker_count_and_blocks_do_not_matter(self, budget, monkeypatch):
+        # 37 trials, split into blocks of 8 with a short last block; the
+        # budget of 9 leaves most trials undecided
+        cfg = tl.ExperimentConfig(kind=tl.ONE_PLUS_ONE_EA, n=12, w=2, trials=37,
+                                  budget=budget, master_seed=4)
+        strip = lambda r: dataclasses.replace(r, wall_time_s=0.0)
+        want = strip(tl.estimate(cfg, workers=1))
+        assert want.undecided > 20 if budget == 9 else want.undecided == 0
+        monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 8)
+        assert strip(tl.estimate(cfg, workers=1)) == want
+        assert strip(tl.estimate(cfg, workers=2)) == want
+        assert montecarlo._run_trials(cfg, 2) == one_by_one(cfg)
+
+    def test_blocks_bound_memory(self):
+        # blocks of 128 trials peak at about 1 MB here; all 10**4 trials of
+        # this estimate stepped at once hold about 60 MB
+        cfg = tl.ExperimentConfig(kind=tl.ONE_PLUS_ONE_EA, n=20, w=-20, trials=10**4,
+                                  budget=tl.default_budget(20), master_seed=3)
+        tracemalloc.start()
+        try:
+            tl.estimate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
