@@ -1,7 +1,7 @@
 """Monte Carlo estimates with Wilson intervals against the exact chain.
 
 Every trial runs under a seed derived from (master seed, trial index), so an
-experiment is reproducible at any worker count.  Budget-exhausted trials stay
+experiment is reproducible from its seed.  Budget-exhausted trials stay
 a separate "undecided" bucket: simulation alone can only bound the
 probability of never converging from both sides.
 """

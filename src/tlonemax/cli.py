@@ -109,10 +109,9 @@ def cmd_estimate(args) -> int:
     budget = args.budget if args.budget is not None else default_budget(args.n)
     cfg = ExperimentConfig(kind=kind, n=args.n, w=args.w, trials=args.trials,
                            budget=budget, master_seed=args.seed)
-    res = estimate(cfg, workers=args.workers)
+    res = estimate(cfg)
     config = {"algo": args.algo, "mu": args.mu, "n": args.n, "w": args.w,
-              "trials": args.trials, "budget": budget, "seed": args.seed,
-              "workers": args.workers}
+              "trials": args.trials, "budget": budget, "seed": args.seed}
     if args.format == "json":
         _emit_json(make_record("estimate", config, asdict(res)))
     else:
@@ -191,11 +190,9 @@ def cmd_scaling(args) -> int:
     if not ns:
         raise UsageError("--ns must list at least one problem size")
     rows = runtime_scaling(kind, args.w, ns, trials=args.trials,
-                           master_seed=args.seed, budget=args.budget,
-                           workers=args.workers)
+                           master_seed=args.seed, budget=args.budget)
     config = {"algo": args.algo, "mu": args.mu, "w": args.w, "ns": ns,
-              "trials": args.trials, "budget": args.budget, "seed": args.seed,
-              "workers": args.workers}
+              "trials": args.trials, "budget": args.budget, "seed": args.seed}
     if args.format == "json":
         _emit_json(make_record("scaling", config, [asdict(r) for r in rows]))
     else:
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("exact", help="exact absorption probabilities")
@@ -336,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("trace", help="replay one seeded trial generation by generation")

@@ -56,8 +56,8 @@ def check_seed(seed: int) -> int:
 
 
 def check_count(name: str, value: int) -> int:
-    """Validate a count that must be at least 1 (a budget, a trial or worker
-    count) and return it as a plain int."""
+    """Validate a count that must be at least 1 (a budget or a trial count)
+    and return it as a plain int."""
     value = _integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")

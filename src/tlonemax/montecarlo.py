@@ -1,20 +1,20 @@
 """Trial execution at scale: probability estimates with Wilson intervals and
 runtime-scaling tables.
 
-Trial i always runs on its own generator, seeded from (master_seed, i), and
-aggregation is order-independent, so results are identical at any worker
-count.  The trials of a config run in blocks of consecutive indices, serially
-or one block per process-pool task.  RLS and (1+1) EA blocks go through the
-batch engine ``algorithms._run_batch``, which steps a block's trials
-together; each trial is the one ``run_trial`` gives for its seed.  (mu+1) EA
-blocks call ``run_trial`` trial by trial.
+Trial i always runs on its own generator, seeded from (master_seed, i), so a
+result is determined by its config.  The trials of a config run in one
+process, in blocks of consecutive indices; each block is reduced to
+per-trial summaries before the next one starts, so memory is bounded by one
+block.  RLS and (1+1) EA blocks go through the batch engine
+``algorithms._run_batch``, which steps a block's trials together; each trial
+is the one ``run_trial`` gives for its seed.  (mu+1) EA blocks call
+``run_trial`` trial by trial.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +42,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kind, AlgorithmKind):
+            raise TypeError(f"kind must be an AlgorithmKind, got {self.kind!r}")
         check_weight(self.w)
         check_length(self.n)
         check_seed(self.master_seed)
@@ -83,6 +85,8 @@ def wilson_ci(k: int, N: int, z: float = 1.96) -> tuple[float, float]:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0 <= k <= N:
         raise ValueError(f"k must lie in [0..{N}], got {k}")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if z <= 0:
         raise ValueError(f"z must be positive, got {z}")
     phat = k / N
@@ -99,41 +103,34 @@ def wilson_ci(k: int, N: int, z: float = 1.96) -> tuple[float, float]:
 _BLOCK_TRIALS = 128
 
 
-def _block_summaries(args) -> list[tuple[str, str | None, int]]:
-    """(status, event, generations) of the trials start..stop-1 of a config."""
-    kind_name, mu, w, n, budget, master_seed, start, stop = args
-    seeds = [split_seed(master_seed, i) for i in range(start, stop)]
-    if mu is None:
-        outcomes = _run_batch(kind_name, w, n, budget, [np.random.default_rng(s) for s in seeds])
-    else:  # one at a time: a final population holds mu arrays
-        outcomes = (run_trial(AlgorithmKind(kind_name, mu), w, n, budget, s) for s in seeds)
-    return [(o.status.value, o.event.value if o.event is not None else None, o.generations)
-            for o in outcomes]
-
-
-def _run_trials(cfg: ExperimentConfig, workers: int) -> list:
-    """Summaries of cfg's trials in trial order, serially or on a process pool."""
-    check_count("workers", workers)
-    # blocks of consecutive trial indices, at least one per worker
-    size = min(_BLOCK_TRIALS, -(-cfg.trials // workers))
-    blocks = [(cfg.kind.name, cfg.kind.mu, cfg.w, cfg.n, cfg.budget, cfg.master_seed,
-               start, min(start + size, cfg.trials))
-              for start in range(0, cfg.trials, size)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [s for block in pool.map(_block_summaries, blocks) for s in block]
-    return [s for block in blocks for s in _block_summaries(block)]
+def _run_trials(cfg: ExperimentConfig) -> list[tuple[str, str | None, int]]:
+    """(status, event, generations) of cfg's trials, in trial order."""
+    summaries = []
+    for start in range(0, cfg.trials, _BLOCK_TRIALS):
+        seeds = [split_seed(cfg.master_seed, i)
+                 for i in range(start, min(start + _BLOCK_TRIALS, cfg.trials))]
+        if cfg.kind.mu is None:
+            outcomes = _run_batch(cfg.kind.name, cfg.w, cfg.n, cfg.budget,
+                                  [np.random.default_rng(s) for s in seeds])
+        else:  # one at a time: a final population holds mu arrays
+            outcomes = (run_trial(cfg.kind, cfg.w, cfg.n, cfg.budget, s) for s in seeds)
+        summaries += [(o.status.value, o.event.value if o.event is not None else None,
+                       o.generations) for o in outcomes]
+    return summaries
 
 
 def estimate(cfg: ExperimentConfig, workers: int = 1) -> EstimateResult:
     """Run cfg.trials independent seeded trials and aggregate.
 
-    The result is byte-identical for identical configs at any ``workers``
-    value (wall time aside); per-trial errors propagate, nothing partial is
-    returned.  ``workers`` must be >= 1.
+    The result is byte-identical for identical configs (wall time aside);
+    per-trial errors propagate, nothing partial is returned.  ``workers`` is
+    accepted and checked (it must be >= 1) but unused: trials always run in
+    this process.  It stays only because the benchmark in ``perfbench``
+    still passes ``workers=2``.
     """
+    check_count("workers", workers)
     t0 = time.perf_counter()
-    summaries = _run_trials(cfg, workers)
+    summaries = _run_trials(cfg)
     counts = {"event1": 0, "event2": 0, "event3": 0}
     successes = 0
     undecided = 0
@@ -183,14 +180,12 @@ MIN_RELIABLE_SUCCESSES = 30
 
 
 def runtime_scaling(kind: AlgorithmKind, w: int, ns: list[int], trials: int,
-                    master_seed: int = 0, budget: int | None = None,
-                    workers: int = 1) -> list[ScalingRow]:
+                    master_seed: int = 0, budget: int | None = None) -> list[ScalingRow]:
     """Mean successful-trial generations per problem size.
 
     Only non-negative weights carry an optimization-time claim; negative
     weights are rejected.  Each n runs under its own derived master seed and
-    (unless overridden) the default 100 n ln n budget.  ``workers`` must be
-    >= 1.
+    (unless overridden) the default 100 n ln n budget.
     """
     check_weight(w)
     check_seed(master_seed)
@@ -201,7 +196,7 @@ def runtime_scaling(kind: AlgorithmKind, w: int, ns: list[int], trials: int,
         cfg = ExperimentConfig(kind=kind, n=n, w=w, trials=trials,
                                budget=budget if budget is not None else default_budget(n),
                                master_seed=split_seed(master_seed, n))
-        gens = np.asarray([g for status, _, g in _run_trials(cfg, workers)
+        gens = np.asarray([g for status, _, g in _run_trials(cfg)
                            if status == TrialStatus.OPTIMUM.value], dtype=float)
         mean = float(gens.mean()) if gens.size else math.nan
         std = float(gens.std(ddof=1)) if gens.size > 1 else math.nan

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import check_seed
+from .core import _integer, check_count, check_length, check_seed
 
 MUTATION_FACTS_MAX_N = 16
 SELECTION_EXHAUSTIVE_MAX_N = 6
@@ -61,6 +61,7 @@ def check_mutation_facts(n: int) -> LemmaReport:
     every a, bit-wise mutation at a in {1, n}; those zero margins are forced
     and reported in details["tight_b_instances"].
     """
+    n = _integer("n", n)
     if not 2 <= n <= MUTATION_FACTS_MAX_N:
         raise ValueError(f"n must lie in [2..{MUTATION_FACTS_MAX_N}], got {n}")
     p = Fraction(1, n)
@@ -127,10 +128,10 @@ def check_selection_equivalence(n: int, extra_weights: list[int],
     |z|) only; up to n=6 all 2**(3n) triples are enumerated directly, above
     that ``samples`` uniform triples are drawn.
     """
-    extra_weights = [int(w) for w in extra_weights]
+    n = check_length(n)
+    extra_weights = [_integer("extra weight", w) for w in extra_weights]
     check_seed(seed)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = check_count("samples", samples)
     for w in extra_weights:
         if w >= -n:
             raise ValueError(f"extra weights must be < -n = {-n}, got {w}")
@@ -195,10 +196,10 @@ def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
     """
     from scipy.stats import rankdata  # imported here: scipy.stats takes about 1 s to load
 
-    weights = [int(w) for w in weights]
+    n = check_length(n)
+    weights = [_integer("weight", w) for w in weights]
     check_seed(seed)
-    if M < 1 or samples < 1:
-        raise ValueError(f"M and samples must be >= 1, got M={M}, samples={samples}")
+    M, samples = check_count("M", M), check_count("samples", samples)
     for w in weights:
         if w > -n:
             raise ValueError(f"weights must be <= -n = {-n}, got {w}")

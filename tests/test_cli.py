@@ -53,24 +53,6 @@ class TestEstimate:
         _, csv2, _ = run(capsys, *args, "--format", "csv")
         assert csv1 == csv2
 
-    def test_worker_count_does_not_change_payload(self, capsys):
-        args = ("estimate", "--algo", "ea", "--n", "10", "--w", "-10",
-                "--trials", "40", "--seed", "9")
-        _, out1, _ = run(capsys, *args, "--workers", "1")
-        _, out2, _ = run(capsys, *args, "--workers", "2")
-        doc1, doc2 = without_volatile(out1), without_volatile(out2)
-        # the config records the worker count; nothing else differs
-        assert (doc1["config"].pop("workers"), doc2["config"].pop("workers")) == (1, 2)
-        assert doc1 == doc2
-
-    def test_workers_refused_below_one_and_recorded(self, capsys):
-        args = ("estimate", "--algo", "rls", "--n", "8", "--w", "0", "--trials", "3")
-        code, out, err = run(capsys, *args, "--workers", "-4")
-        assert code == EXIT_USAGE and out == ""
-        assert err.strip() == "error: workers must be >= 1, got -4"
-        code, out, _ = run(capsys, *args, "--workers", "2")
-        assert code == EXIT_OK and json.loads(out)["config"]["workers"] == 2
-
     def test_missing_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--algo", "rls", "--w", "2"])
@@ -200,14 +182,6 @@ class TestScaling:
                            "--ns", "8", "--trials", "5")
         assert code == EXIT_USAGE and err.strip()
 
-    def test_workers_refused_below_one_and_recorded(self, capsys):
-        args = ("scaling", "--algo", "rls", "--w", "0", "--ns", "8", "--trials", "3")
-        code, out, err = run(capsys, *args, "--workers", "0")
-        assert code == EXIT_USAGE and out == ""
-        assert err.strip() == "error: workers must be >= 1, got 0"
-        code, out, _ = run(capsys, *args, "--workers", "1", "--format", "json")
-        assert code == EXIT_OK and json.loads(out)["config"]["workers"] == 1
-
 
 class TestTrace:
     def test_output_pinned(self, capsys):
@@ -303,3 +277,15 @@ def test_negative_seed_names_the_value(capsys, argv, seed):
     code, out, err = run(capsys, *argv, "--seed", seed)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: seed must be >= 0, got {seed}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--algo", "rls", "--n", "8", "--w", "0", "--trials", "3"],
+    ["scaling", "--algo", "rls", "--w", "0", "--ns", "8", "--trials", "3"],
+], ids=["estimate", "scaling"])
+def test_workers_option_is_gone(capsys, argv):
+    # trials always run in one process; the old option is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err

@@ -110,6 +110,29 @@ class TestRankEquivalence:
         assert r.passed
 
 
+@pytest.mark.parametrize("call, error, message", [
+    # the weight used to be truncated to -5, and the check passed
+    (lambda: tl.check_selection_equivalence(4, [-5.7]), TypeError,
+     "extra weight must be an integer, got -5.7"),
+    # -4.9 used to be truncated to -4
+    (lambda: tl.check_rank_equivalence(4, 5, 100, weights=[-4.9, -6]), TypeError,
+     "weight must be an integer, got -4.9"),
+    (lambda: tl.check_selection_equivalence(8, [-9], samples=2.5), TypeError,
+     "samples must be an integer, got 2.5"),
+    (lambda: tl.check_rank_equivalence(4, 2.5, 100, weights=[-5, -6]), TypeError,
+     "M must be an integer, got 2.5"),
+    (lambda: tl.check_mutation_facts(3.0), TypeError, "n must be an integer, got 3.0"),
+    # these used to fail inside numpy ("negative shift count", an IndexError)
+    (lambda: tl.check_selection_equivalence(-3, [-5]), ValueError, "n must be >= 2, got -3"),
+    (lambda: tl.check_rank_equivalence(0, 3, 10, [-1, -2]), ValueError,
+     "n must be >= 2, got 0"),
+], ids=["selection-weight", "rank-weight", "samples", "M", "facts-n", "selection-n",
+        "rank-n"])
+def test_bad_arguments_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_report_invariant_fail_needs_counterexample():
     with pytest.raises(ValueError):
         LemmaReport(lemma="x", grid={}, passed=False, worst_margin=0.0)
