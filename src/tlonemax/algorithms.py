@@ -9,23 +9,18 @@ the same as iterating ``step``.  For the (1+1) EA it reads every mask off
 one flip field of geometric gaps (``_flip_cells``): the same mutation law
 as ``mutate_ea``'s ``rng.random(n) < 1/n``, but other random numbers, so
 seeded (1+1) EA trials differ from those of versions that drew n doubles
-per generation.  The (mu+1) EA has no public
-per-generation stepper.  Its named reference is ``_mu_plus_one_generation``
-on population arrays, which takes its parent index, flip positions and
-tie-break from the caller; ``run_trial`` gives the same trial on fitness
-buckets (``_run_mu_plus_one``), where the members' birth-stamp order is
-their row order and the bitstrings are Python ints.  After initialisation it
-reads parent indices, flips and tie-breaks from three sub-streams seeded off
-the trial's generator, each drawn in blocks: the law of one generator's
-``rng.integers(mu)``, ``rng.random(n) < 1/n`` and ``rng.integers(size)``
-per generation, but other random numbers, so seeded (mu+1) EA trials differ
-from those of versions that drew so.  All three algorithms evaluate an
-offspring against its parent's *current* first bit as the stored history;
-RLS and the (1+1) EA accept when the offspring fitness is at least the
-parent's ("at least as good" selection).  A trial runs one seeded
-optimization to absorption: global optimum, a proven stagnation event, or
-budget exhaustion.  The generation counter g counts offspring fitness
-evaluations; the implicit evaluation of the initial state is not counted.
+per generation.  The (mu+1) EA has no public per-generation stepper.  Its
+named reference is ``_mu_plus_one_generation`` on population arrays, which
+takes its parent index, flip positions and tie-break from the caller;
+``run_trial`` gives the same trial on fitness buckets with Python-int
+bitstrings and block-drawn sub-streams (``_run_mu_plus_one``).  All three
+algorithms evaluate an offspring against its parent's *current* first bit
+as the stored history; RLS and the (1+1) EA accept when the offspring
+fitness is at least the parent's ("at least as good" selection).  A trial
+runs one seeded optimization to absorption: global optimum, a proven
+stagnation event, or budget exhaustion.  The generation counter g counts
+offspring fitness evaluations; the implicit evaluation of the initial state
+is not counted.
 """
 
 from __future__ import annotations
@@ -33,12 +28,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 
 import numpy as np
 
-from .core import (TLState, _integer, _is_optimum_parts, check_count, check_length, check_seed,
-                   check_weight, fitness, random_init)
+from .core import (TLState, _init_bits, _init_words, _integer, _is_optimum_parts, check_count,
+                   check_length, check_seed, check_weight, fitness)
 from .stagnation import StagnationEvent, classify_lumped
 
 
@@ -270,20 +264,18 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
     handed-out bitstring is a new array, never written again.
     """
     m, width = len(rngs), n + 1
-    inits = [random_init(n, rng) for rng in rngs]
+    prevs, starts = _init_bits(np.concatenate([_init_words(n, 1, rng) for rng in rngs]), n)
     draws = [_flip_cells(kind_name, n, rng) for rng in rngs]
     outcomes = [None] * m
     gain = np.zeros((m, width), dtype=np.int8)
-    gain[:, :n] = 1 - 2 * np.array([s.current for s in inits], dtype=np.int8)
+    gain[:, :n] = 1 - 2 * starts.view(np.int8)
     flat = gain.reshape(-1)
     # one row per field, one column per trial in the batch: its generator
     # and row of gains, prev, x1, ones, t, g, its unread drawn generations
     # (columns row..end-1 of the table), its window and its next block
     trials = np.zeros((10, m), dtype=np.int64)
     trials[0] = np.arange(m)
-    trials[1] = [s.prev_first for s in inits]
-    trials[2] = gain[:, 0] < 0
-    trials[3] = np.count_nonzero(gain < 0, axis=1)
+    trials[1:4] = prevs, starts[:, 0], starts.sum(axis=1)
     trials[4] = 1
     trials[8] = _FIRST_ROWS
     trials[9] = min(_FIRST_ROWS, _BLOCK_DRAWS)
@@ -462,29 +454,16 @@ def _tie_source(rng):
     return pick
 
 
-def _int_bits(x: np.ndarray) -> int:
-    """A uint8 bit array as a Python int with bit j = position j."""
-    return int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
-
-
-def _array_bits(x: int, n: int) -> np.ndarray:
-    """The inverse of ``_int_bits`` for length n."""
-    return np.unpackbits(np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
-                         count=n, bitorder="little")
-
-
-_stamp = itemgetter(0)
-
-
 def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     """(mu+1) EA trials on fitness buckets, generation for generation the
     same as iterating ``_mu_plus_one_generation`` on population arrays with
     scalar draws from the same three sub-streams.
 
-    After the mu ``random_init`` draws, two raw words of ``rng`` seed a
-    ``SeedSequence`` whose three children drive the rest: parent indices,
-    drawn as ``integers(mu, size=k)``; mutations, read off the flip field of
-    ``_flip_source("ea", ...)``; and tie-breaks, picked by ``_tie_source``.
+    After one ``_init_words`` draw for the mu members, two raw words of
+    ``rng`` seed a ``SeedSequence`` whose three children drive the rest:
+    parent indices, drawn as ``integers(mu, size=k)``; mutations, read off
+    the flip field of ``_flip_source("ea", ...)``; and tie-breaks, picked by
+    ``_tie_source``.
     Parent indices and flips are drawn for blocks of generations that double
     from ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS``.  Each sub-stream is read in
     order whatever the block sizes, so a trial does not depend on them.  The
@@ -492,43 +471,48 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     ``rng.integers(size)`` per generation, but seeded trials differ from
     those of versions that drew so.
 
-    Each member is (birth stamp, stored bit, bitstring, ones, array), the
-    bitstring a Python int with bit j = position j, so a generation costs a
-    few int operations per flipped bit.  Row order is increasing stamp
-    order: a removal keeps the order of the rest and a surviving offspring
-    goes last.  So ``rows`` lists the members in the reference's row order,
-    a member is found from its stamp by bisection, and ``buckets[f]`` lists
-    the stamps of fitness f in row order: the tie-break's k-th
-    minimum-fitness candidate is ``buckets[lo][k]``, with the offspring,
-    when tied, as the last one.  A tie-break of size 1 reads no word, and an
-    offspring below the minimum fitness ``lo`` is that case.
+    Each member is [stored bit, bitstring, ones, array], the bitstring a
+    Python int with bit j = position j, so a generation costs a few int
+    operations per flipped bit.  Row order is increasing birth-stamp order
+    (``stamps``): a removal keeps the order of the rest and a surviving
+    offspring goes last.  So ``rows`` lists the members in the reference's
+    row order, a member is found from its stamp by bisection, and
+    ``buckets[f]`` lists the stamps of fitness f in row order: the
+    tie-break's k-th minimum-fitness candidate is ``buckets[lo][k]``, with
+    the offspring, when tied, as the last one.  A tie-break of size 1 reads
+    no word, and an offspring below the minimum fitness ``lo`` is that case.
 
-    A member's uint8 array is built once, when it is first handed out: at
-    birth if there is an observer, else for ``final_state``.  Arrays are
-    never written after they are built, so the snapshots share them.  A
-    rejected generation leaves the population as it was, so the observer is
-    handed the previous snapshot list again.
+    A starting member's uint8 array is its row of the drawn bitstrings; an
+    offspring's is built when first handed out, by one unpack in
+    ``snapshot`` of every member still without one.  Arrays are never
+    written, so the snapshots share them.  A rejected generation leaves the
+    population as it was, so the observer is handed the previous snapshot
+    list again.
     """
-    rows = []
+    prevs, bits = _init_bits(_init_words(n, mu, rng), n)
+    xs = [int.from_bytes(x, "little") for x in np.packbits(bits, axis=1, bitorder="little")]
+    rows = [list(member) for member in zip(prevs.tolist(), xs, bits.sum(axis=1).tolist(), bits)]
+    stamps = list(range(mu))
     buckets: dict[int, list[int]] = {}
-    for stamp in range(mu):
-        s = random_init(n, rng)
-        ones = int(s.current.sum())
-        rows.append((stamp, s.prev_first, _int_bits(s.current), ones, s.current))
-        buckets.setdefault(ones + w * s.prev_first, []).append(stamp)
+    for stamp, (prev, _, ones, _) in enumerate(rows):
+        buckets.setdefault(ones + w * prev, []).append(stamp)
     lo = min(buckets)
     seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2).tolist()).spawn(3)
     parents, flips, ties = (np.random.default_rng(s) for s in seeds)
     draw, pick = _flip_source("ea", n, flips), _tie_source(ties)
 
     def snapshot():
-        return [PopulationMember(prev, a if a is not None else _array_bits(x, n))
-                for _, prev, x, _, a in rows]
+        bare = [row for row in rows if row[3] is None]
+        joined = b"".join([row[1].to_bytes((n + 7) // 8, "little") for row in bare])
+        packed = np.frombuffer(joined, dtype=np.uint8).reshape(len(bare), (n + 7) // 8)
+        for row, a in zip(bare, np.unpackbits(packed, axis=1, count=n, bitorder="little")):
+            row[3] = a
+        return [PopulationMember(prev, a) for prev, _, _, a in rows]
 
     if observer is not None:
         shown = snapshot()
         observer(0, shown, True, None)
-    if any(_is_optimum_parts(w, prev, ones, n) for _, prev, _, ones, _ in rows):
+    if any(_is_optimum_parts(w, prev, ones, n) for prev, _, ones, _ in rows):
         return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
     block = _FIRST_ROWS
     r = k = 0
@@ -539,7 +523,7 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
             picks = parents.integers(mu, size=k).tolist()
             _, cols, starts = draw(k)
             cols, starts = cols.tolist(), starts.tolist()
-        _, _, x, ones, _ = rows[picks[r]]
+        _, x, ones, _ = rows[picks[r]]
         prev = x & 1  # the offspring stores its parent's first bit
         for c in cols[starts[r]:starts[r + 1]]:
             ones += 1 - 2 * (x >> c & 1)
@@ -553,10 +537,11 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
             j = pick(size) if size > 1 else 0
             survived = j < len(bucket)
         if survived:
-            del rows[bisect_left(rows, bucket.pop(j), key=_stamp)]
-            stamp = mu + g  # above every earlier birth stamp
-            rows.append((stamp, prev, x, ones, None if observer is None else _array_bits(x, n)))
-            buckets.setdefault(fit, []).append(stamp)
+            i = bisect_left(stamps, bucket.pop(j))
+            del stamps[i], rows[i]
+            stamps.append(mu + g)  # above every earlier birth stamp
+            rows.append([prev, x, ones, None])
+            buckets.setdefault(fit, []).append(mu + g)
             if not bucket:
                 del buckets[lo]
                 lo = min(buckets)

@@ -153,3 +153,18 @@ def random_init(n: int, rng: np.random.Generator) -> TLState:
     """
     prev_first = int(rng.integers(0, 2))
     return TLState(prev_first=prev_first, current=random_bitstring(n, rng), t=1, g=0)
+
+
+def _init_words(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The words that ``count`` successive ``random_init(n, rng)`` calls
+    read, one row per call, in one draw.  numpy draws ``integers(0, 2)``
+    from the top bit of one 32-bit word and ``integers(0, 2, size=n,
+    dtype=uint8)`` from the top bits of the little-endian bytes of ceil(n/4)
+    words, so a full-range uint32 draw reads the same words and leaves the
+    generator in the same state; ``_init_bits`` decodes them."""
+    return rng.integers(0, 1 << 32, size=(count, 1 + (n + 3) // 4), dtype=np.uint32)
+
+
+def _init_bits(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stored bits and (rows, n) uint8 bitstrings of ``_init_words`` rows."""
+    return words[:, 0] >> 31, words.astype("<u4", copy=False).view(np.uint8)[:, 4:4 + n] >> 7

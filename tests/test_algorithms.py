@@ -586,6 +586,26 @@ class TestMuPlusOne:
         for m, prev, snapshot in kept:
             assert m.prev_first == prev and np.array_equal(m.current, snapshot)
 
+    @pytest.mark.parametrize("mu", [1, 3, 120])
+    @pytest.mark.parametrize("n", [2, 7, 30, 65])
+    def test_final_population_matches_reference(self, n, mu):
+        # the starting members come from one draw and the final population
+        # is unpacked in one call: member for member the reference's final
+        # snapshot, each a uint8 array of its own
+        for w in (-n, 0, 3):
+            for seed in (0, 5):
+                out = run_population_trial(mu, w, n, 200, seed)
+                ref = reference_population_trial(mu, w, n, 200, seed)
+                assert population_key(out) == population_key(ref), (mu, n, w, seed)
+                pop = out.final_state
+                assert all(m.current.dtype == np.uint8 and m.current.shape == (n,)
+                           for m in pop)
+                for m in pop:
+                    before = [other.current.copy() for other in pop]
+                    m.current[:] ^= 1
+                    for other, was in zip(pop, before):
+                        assert other is m or np.array_equal(other.current, was)
+
 
 def reference_population_trial(mu, w, n, budget, seed, observer=None, old_order=False):
     """The (mu+1) EA trial as a loop around ``_mu_plus_one_generation`` with

@@ -133,3 +133,21 @@ def test_checks_accept_numpy_integers():
     for check in (check_length, check_weight, check_seed):
         assert type(check(np.int64(7))) is int and check(np.uint8(7)) == 7
     assert check_count("budget", np.int32(3)) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 30, 31, 33, 100, 1001])
+def test_init_words_read_the_random_init_stream(n):
+    # one draw of c rows reads what c successive random_init calls read: the
+    # same stored bits and bitstrings, and the generator ends in the same
+    # state.  A numpy release that changes its bounded uint8 draw fails here
+    # before the pinned trial digests do
+    from tlonemax.core import _init_bits, _init_words
+    for count in (1, 2, 7, 120):
+        for seed in range(20):
+            drawn, called = np.random.default_rng(seed), np.random.default_rng(seed)
+            prevs, bits = _init_bits(_init_words(n, count, drawn), n)
+            want = [tl.random_init(n, called) for _ in range(count)]
+            assert prevs.tolist() == [s.prev_first for s in want], (n, count, seed)
+            assert bits.dtype == np.uint8 and bits.shape == (count, n)
+            assert np.array_equal(bits, np.array([s.current for s in want])), (n, count, seed)
+            assert drawn.bit_generator.state == called.bit_generator.state, (n, count, seed)
