@@ -13,6 +13,7 @@ A brute-force full-state chain validates the lumping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln
 
-from .core import _is_optimum_parts, check_length, check_weight
-from .stagnation import classify_lumped
+from .core import check_length, check_weight
 
 #: Absorbing classes, in fixed column order.
 CLASS_NAMES = ("optimum", "event1", "event2", "event3")
@@ -34,7 +34,10 @@ _HIT_RESIDUAL_TOL = 1e-8
 _ABSORB_MASS_TOL = 1e-8
 _PROB_RANGE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-10
-_CHUNK = 1 << 18  # stored entries per group of levels in the vectorised solver pass
+_CHUNK = 1 << 18  # stored entries per group of panels in the vectorised solver pass
+# states per panel, a run of whole levels solved as one dense block; OpenBLAS
+# threads solves from 100 x 100 up, which costs more than it saves at this size
+_PANEL = 64
 
 
 def lumped_index(prev_first: int, cur_first: int, k: int, n: int) -> int:
@@ -67,6 +70,7 @@ def _require_single_parent(kind, n: int):
     check_length(n)
 
 
+@functools.lru_cache(maxsize=2)
 def _offspring_table(kind, n: int):
     """(lo, same, flip): same[k, j] (flip[k, j]) is the probability that a
     parent with k tail ones has an offspring that keeps (flips) its first bit
@@ -75,19 +79,26 @@ def _offspring_table(kind, n: int):
     with probability 1/n, and the tail gains Bin(n-1-k, 1/n) up-flips minus
     Bin(k, 1/n) down-flips, each cut at D = 1 + the last index where
     Bin(n-1, 1/n) is nonzero in double precision: at a fixed count the pmf
-    does not decrease in m <= n-1, so every later term is exactly 0 anyway."""
+    does not decrease in m <= n-1, so every later term is exactly 0 anyway.
+
+    The table depends on (kind, n) alone, so the last two are cached, as
+    read-only arrays: 16 n (2D - 1) bytes for a bit-wise table."""
     k = np.arange(n)[:, None]
     if kind.name == "rls":
+        lo = 1
+        same = np.hstack([k / n, np.zeros((n, 1)), (n - 1 - k) / n])
         flip = np.tile([0.0, 1.0 / n, 0.0], (n, 1))
-        return 1, np.hstack([k / n, np.zeros((n, 1)), (n - 1 - k) / n]), flip
-    inv_n = 1.0 / n
-    D = 1 + int(np.flatnonzero(binomial_pmf(n - 1, inv_n))[-1])
-    up = np.zeros((n, 3 * D - 2))
-    up[:, D - 1:2 * D - 1] = np.exp(_binomial_logpmf(n - 1 - k, np.arange(D), inv_n))
-    # k' - k = u - d: sum over d of P(d down-flips) * P(u = k' - k + d up-flips)
-    tail = np.einsum("kjd,kd->kj", np.lib.stride_tricks.sliding_window_view(up, D, axis=1),
-                     np.exp(_binomial_logpmf(k, np.arange(D), inv_n)))
-    return D - 1, (1.0 - inv_n) * tail, inv_n * tail
+    else:
+        inv_n = 1.0 / n
+        D = 1 + int(np.flatnonzero(binomial_pmf(n - 1, inv_n))[-1])
+        up = np.zeros((n, 3 * D - 2))
+        up[:, D - 1:2 * D - 1] = np.exp(_binomial_logpmf(n - 1 - k, np.arange(D), inv_n))
+        # k' - k = u - d: sum over d of P(d down-flips) * P(u = k' - k + d up-flips)
+        tail = np.einsum("kjd,kd->kj", np.lib.stride_tricks.sliding_window_view(up, D, axis=1),
+                         np.exp(_binomial_logpmf(k, np.arange(D), inv_n)))
+        lo, same, flip = D - 1, (1.0 - inv_n) * tail, inv_n * tail
+    same.flags.writeable = flip.flags.writeable = False
+    return lo, same, flip
 
 
 def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
@@ -140,20 +151,25 @@ def state_classes(kind, w: int, n: int) -> np.ndarray:
     """Absorbing class per lumped state: CLASS_NAMES index, or -1 if transient.
 
     The absorbing set is exactly the optimum states plus the classified
-    stagnation events -- nothing speculative.
+    stagnation events -- nothing speculative.  The masks restate, over all
+    (p, c, k) at once, the proven patterns of ``stagnation.classify_lumped``
+    and the optimum test of ``core.is_global_optimum``.
     """
     _require_single_parent(kind, n)
     w = check_weight(w)
+    pc, k = np.divmod(np.arange(4 * n), n)
+    p, c = np.divmod(pc, 2)
+    rls = kind.name == "rls"
     cls = np.full(4 * n, -1, dtype=np.int64)
-    for idx in range(4 * n):
-        pc, k = divmod(idx, n)
-        p, c = divmod(pc, 2)
-        if _is_optimum_parts(w, p, c + k, n):
-            cls[idx] = 0
-        else:
-            ev = classify_lumped(kind.name, w, n, p, c, k)
-            if ev is not None:
-                cls[idx] = CLASS_NAMES.index(ev.value)
+    if w < 0:
+        # event1: (0, 1), not all ones, and under bit-wise mutation k >= w + n
+        cls[(p == 0) & (c == 1) & (k <= n - 2) & (w <= -2) & (rls | (k >= w + n))] = 1
+        # event2: (1, 1), all ones
+        cls[(p == 1) & (c == 1) & (k == n - 1)] = 2
+    elif w > 0:
+        # event3: (1, 0), for every w > 1 under one-bit mutation, else k >= n - w + 1
+        cls[(p == 1) & (c == 0) & ((w > 1) if rls else (k >= n - w + 1))] = 3
+    cls[(c + k == n) & ((w == 0) | (p == int(w > 0)))] = 0
     return cls
 
 
@@ -197,67 +213,94 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
     holds the known values outside ``unknown`` and zeros on it.
 
     No accepted move lowers the fitness, so I - Q is block triangular in
-    fitness order: x is filled in place one level (at most 4 lumped states)
-    at a time, from the top.  Sorted by descending fitness, a level's rows
-    are one contiguous slice; row masses and level blocks are vectorised
-    over groups of whole levels.  Mass on a lower level is refused, as
-    back-substitution would drop it.  The diagonal is the direct sum of
-    off-diagonal mass, not 1 - P_ii, which cancels to zero at deep
-    quasi-traps; rows are scaled by it (the embedded jump chain), and each
-    block's residual is checked there, or under ``h`` on (I - Qh) x = b."""
+    fitness order.  Sorted by descending fitness, a level's rows are one
+    contiguous slice, and runs of whole levels of about _PANEL states form
+    panels; their boundaries depend on the levels alone.  x is filled in
+    place one panel at a time, from the top: one gather of the known values
+    gives the panel's right-hand side, and one dense solve of its I - Q
+    (block triangular itself) gives its values.  Row masses and panel
+    entries are vectorised over groups of whole panels of about _CHUNK
+    stored entries.  The diagonal is the direct sum of off-diagonal mass,
+    not 1 - P_ii, which cancels to zero at deep quasi-traps; rows are scaled
+    by it (the embedded jump chain), and each row's residual is checked
+    there, or under ``h`` on (I - Qh) x = b.  Refusals name the highest
+    failing level, checked in this order: a state without escape mass, mass
+    on a lower level (back-substitution would drop it), a singular level
+    block, a residual over the tolerance (or NaN)."""
     tol = _SOLVE_RESIDUAL_TOL if h is None else _HIT_RESIDUAL_TOL
     P = sparse.csr_array(P)
     order = unknown[np.argsort(-fitness[unknown], kind="stable")]
     starts = np.flatnonzero(np.diff(fitness[order], prepend=np.inf, append=-np.inf))
-    pos = np.full(fitness.size, -1)
+    # a panel opens at the first level starting at or past each multiple of _PANEL
+    panels = np.append(starts[:-1][np.diff(starts[:-1] // _PANEL, prepend=-1) > 0], order.size)
+    pos, panel_of = np.full(fitness.size, -1), np.full(fitness.size, -1)
     pos[order] = np.arange(order.size)
-    filled = np.cumsum(np.diff(P.indptr)[order])[starts[1:] - 1]
-    groups = np.flatnonzero(np.diff(filled // _CHUNK, prepend=-1)).tolist() + [starts.size - 1]
+    panel_of[order] = np.repeat(np.arange(panels.size - 1), np.diff(panels))
+    level_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    filled = np.cumsum(np.diff(P.indptr)[order])[panels[1:] - 1]
+    groups = np.flatnonzero(np.diff(filled // _CHUNK, prepend=-1)).tolist() + [panels.size - 1]
     for g0, g1 in zip(groups[:-1], groups[1:]):
-        own, lstart = order[starts[g0]:starts[g1]], starts[g0:g1 + 1] - starts[g0]
+        s0 = panels[g0]
+        own = order[s0:panels[g1]]
         R = P[own]
         ptr, cols, vals = R.indptr, R.indices, R.data
         row = np.repeat(np.arange(own.size), np.diff(ptr))
-        vals[cols == own[row]] = 0.0
+        other = cols != own[row]
+        vals[~other] = 0.0
         fit, fc = fitness[own], fitness[cols]
+        up = fc >= fit[row]
         esc = np.bincount(row, vals, own.size)
-        lower = np.bincount(row, vals * (fc < fit[row]), own.size)
+        lower = np.bincount(row[~up], vals[~up], own.size)
+        bad = np.flatnonzero((esc <= 0.0) | (lower > 0.0))
         if h is not None:
             vals *= h[cols] / h[own][row]
-        level_of = np.repeat(np.arange(g1 - g0), np.diff(lstart))
-        # row i of its level's scaled block: -P_ij / esc_i off the diagonal,
-        # esc_i / esc_i = 1 on it
-        i = np.flatnonzero((fc == fit[row]) & (pos[cols] >= 0))
-        first = lstart[level_of]
-        blocks = np.zeros((own.size, np.diff(lstart).max()))
-        blocks[row[i], pos[cols[i]] - starts[g0] - first[row[i]]] = (
-            -vals[i] / np.where(esc > 0.0, esc, 1.0)[row[i]])
-        blocks[np.arange(own.size), np.arange(own.size) - first] = 1.0
-        row_ptr, esc2 = ptr[:-1] - ptr[first], esc[:, None]
-        ptr, lstart = ptr.tolist(), lstart.tolist()
-        for r0, r1 in zip(lstart[:-1], lstart[1:]):
-            level, e, f = own[r0:r1], esc[r0:r1], fit[r0]
-            if e.min() <= 0.0:
+        scale = np.where(esc > 0.0, esc, 1.0)
+        # row i of its panel's scaled I - Q: -P_ij g_ij / esc_i at the same or a
+        # higher level of the panel, esc_i / esc_i = 1 on the diagonal
+        i = np.flatnonzero((panel_of[cols] == panel_of[own][row]) & up & other)
+        a_row, a_col, a_val = row[i], pos[cols[i]] - s0, -vals[i] / scale[row[i]]
+        for p0, p1 in zip((panels[g0:g1] - s0).tolist(), (panels[g0 + 1:g1 + 1] - s0).tolist()):
+            e0, e1 = ptr[p0], ptr[p1]
+            terms = np.take(x, cols[e0:e1], axis=0)
+            terms *= vals[e0:e1, None]
+            rhs = (b + np.add.reduceat(terms, ptr[p0:p1] - e0)) / scale[p0:p1, None]
+            i0, i1 = np.searchsorted(a_row, (p0, p1))
+            A = np.zeros((p1 - p0, p1 - p0))
+            A[a_row[i0:i1] - p0, a_col[i0:i1] - p0] = a_val[i0:i1]
+            A.flat[::p1 - p0 + 1] = 1.0
+            fails, singular = [], None
+            if (j := np.searchsorted(bad, p0)) < bad.size and bad[j] < p1:
+                fails.append((level_of[s0 + bad[j]], 0))
+            try:
+                x[own[p0:p1]] = sol = np.linalg.solve(A, rhs)
+            except np.linalg.LinAlgError as exc:
+                # A is block triangular: name its first singular level block
+                singular, v0 = exc, level_of[s0 + p0]
+                q = (starts[v0:level_of[s0 + p1 - 1] + 2] - s0 - p0).tolist()
+                fails.append((v0 + next((k for k, (q0, q1) in enumerate(zip(q[:-1], q[1:]))
+                                         if np.linalg.det(A[q0:q1, q0:q1]) == 0.0), 0), 1))
+            else:
+                residual = np.abs(A @ sol - rhs).max(axis=1) * (1.0 if h is None else esc[p0:p1])
+                if (over := np.flatnonzero(~(residual <= tol))).size:
+                    fails.append((level_of[s0 + p0 + over[0]], 2))
+            if not fails:
+                continue
+            v, why = min(fails)
+            r0, r1 = starts[v] - s0, starts[v + 1] - s0
+            level, e, d, f = own[r0:r1], esc[r0:r1], lower[r0:r1], fit[r0]
+            if why == 0 and e.min() <= 0.0:
                 raise RuntimeError(f"{chain}: transient state {level[e.argmin()]} (fitness {f}) "
                                    f"has no representable escape probability (escape mass "
                                    f"{e.min():.3g}); the chain does not absorb from it in "
                                    "double precision")
-            if (d := lower[r0:r1]).max() > 0.0:
+            if why == 0:
                 raise RuntimeError(f"{chain}: transient state {level[d.argmax()]} (fitness {f}) "
                                    f"moves to a lower fitness with probability {d.max():.3g}")
-            A = blocks[r0:r1, :r1 - r0]
-            terms = np.take(x, cols[ptr[r0]:ptr[r1]], axis=0)
-            terms *= vals[ptr[r0]:ptr[r1], None]
-            rhs = (b + np.add.reduceat(terms, row_ptr[r0:r1])) / esc2[r0:r1]
-            try:
-                x[level] = sol = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError as exc:
+            if why == 1:
                 raise RuntimeError(f"{chain}: transient block at fitness {f} is singular: "
-                                   "some states never absorb") from exc
-            residual = np.abs(A @ sol - rhs) * (1.0 if h is None else esc2[r0:r1])
-            if residual.max() > tol:
-                raise RuntimeError(f"{chain}: solve residual {residual.max():.3g} at "
-                                   f"fitness {f} exceeds tolerance {tol:g}")
+                                   "some states never absorb") from singular
+            raise RuntimeError(f"{chain}: solve residual {residual[r0 - p0:r1 - p0].max():.3g} "
+                               f"at fitness {f} exceeds tolerance {tol:g}")
     return x
 
 

@@ -12,7 +12,9 @@ import pytest
 
 import tlonemax as tl
 from tlonemax.cli import EXIT_USAGE, main
-from tlonemax.markov import _solve_levels, binomial_pmf, lumped_index
+from tlonemax.core import _is_optimum_parts
+from tlonemax.markov import _offspring_table, _solve_levels, binomial_pmf, lumped_index
+from tlonemax.stagnation import classify_lumped
 
 
 class TestTransitionRow:
@@ -113,6 +115,55 @@ def _select_reference(law, w, n, p, c, k):
     row[2 * c * n:2 * (c + 1) * n] = np.where(accepted, law, 0.0).ravel()
     row[lumped_index(p, c, k, n)] += law[~accepted].sum()
     return row / row.sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 40, 200])
+def test_state_classes_match_per_state_classification(n):
+    # the masks restate classify_lumped and the optimum test; the per-state
+    # loop over both is the oracle
+    for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
+        for w in (-n - 1, -n, -n + 1, -2, -1, 0, 1, 2, n - 1, n, n + 1):
+            ref = np.full(4 * n, -1)
+            for idx in range(4 * n):
+                pc, k = divmod(idx, n)
+                p, c = divmod(pc, 2)
+                if _is_optimum_parts(w, p, c + k, n):
+                    ref[idx] = 0
+                elif (ev := classify_lumped(kind.name, w, n, p, c, k)) is not None:
+                    ref[idx] = tl.CLASS_NAMES.index(ev.value)
+            assert np.array_equal(tl.markov.state_classes(kind, w, n), ref), (kind.name, n, w)
+
+
+class TestOffspringTableReuse:
+    def test_built_once_per_kind_and_length(self):
+        n = 50
+        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
+            _offspring_table.cache_clear()
+            for w in (-n, -1, 2):
+                tl.absorption_probabilities(kind, w, n)
+                tl.conditional_hitting_time(kind, w, n)
+                tl.build_transition_matrix(kind, w, n)
+            info = _offspring_table.cache_info()
+            assert (info.misses, info.hits, info.maxsize) == (1, 8, 2), (kind.name, info)
+
+    def test_cached_arrays_are_read_only(self):
+        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
+            _, same, flip = _offspring_table(kind, 30)
+            for table in (same, flip):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 1.0
+
+    def test_cold_and_warm_results_identical(self):
+        cases = [(tl.RLS, 3, 60), (tl.ONE_PLUS_ONE_EA, -60, 60), (tl.ONE_PLUS_ONE_EA, 2, 60)]
+        warm = []
+        for kind, w, n in cases:
+            tl.absorption_probabilities(kind, w, n)
+            warm.append(tl.conditional_hitting_time(kind, w, n))
+        for (kind, w, n), hit in zip(cases, warm):
+            _offspring_table.cache_clear()
+            cold = tl.conditional_hitting_time(kind, w, n)
+            assert np.array_equal(cold.per_state, hit.per_state, equal_nan=True)
+            assert np.array_equal(cold.absorption.per_state, hit.absorption.per_state)
 
 
 def test_binomial_pmf_exact_small():
@@ -300,8 +351,56 @@ class TestLevelSolver:
             assert np.array_equal(tl.absorption_probabilities(kind, w, n).per_state, per)
             assert np.array_equal(tl.conditional_hitting_time(kind, w, n).per_state, hit,
                                   equal_nan=True)
-        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 67\.5 "):
+        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 1 at fitness 19 "
+                                               r"exceeds tolerance 1e-08$"):
             tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -20, 40)
+
+    def test_one_level_panels_agree_with_default(self, monkeypatch):
+        # panels of one level each are the level-by-level solve; panels of
+        # many levels may round differently, refusals included
+        cases = [(tl.RLS, -1, 200), (tl.RLS, 5, 200), (tl.ONE_PLUS_ONE_EA, -3, 40),
+                 (tl.ONE_PLUS_ONE_EA, -200, 200), (tl.ONE_PLUS_ONE_EA, 2, 200)]
+        refusals = [(tl.conditional_hitting_time, tl.ONE_PLUS_ONE_EA, -20, 40),
+                    (tl.conditional_hitting_time, tl.ONE_PLUS_ONE_EA, 20, 40),
+                    (tl.absorption_probabilities, tl.ONE_PLUS_ONE_EA, 200, 200)]
+
+        def run():
+            hits = [tl.conditional_hitting_time(kind, w, n) for kind, w, n in cases]
+            messages = []
+            for fn, kind, w, n in refusals:
+                with pytest.raises(RuntimeError) as info:
+                    fn(kind, w, n)
+                # the residual itself is a rounding artifact of the solve order
+                messages.append(re.sub(r"residual \S+ ", "residual ", str(info.value)))
+            return hits, messages
+
+        default, refused = run()
+        monkeypatch.setattr(tl.markov, "_PANEL", 1)
+        levels, refused_by_level = run()
+        assert refused_by_level == refused
+        for (kind, w, n), a, b in zip(cases, default, levels):
+            for x, y in ((a.absorption.per_state, b.absorption.per_state),
+                         (a.per_state, b.per_state)):
+                assert np.array_equal(np.isnan(x), np.isnan(y))
+                x, y = x[~np.isnan(x)], y[~np.isnan(y)]
+                assert (np.abs(x - y) <= 1e-13 * np.maximum(np.abs(x), np.abs(y))).all(), \
+                    (kind.name, w, n)
+
+    @pytest.mark.parametrize("panel", [1, 64])
+    def test_refuses_singular_level(self, monkeypatch, panel):
+        # states 1 and 2 (fitness 1) only move to each other and never absorb;
+        # state 0 (fitness 3) absorbs into state 3, in their panel unless
+        # every panel is one level
+        monkeypatch.setattr(tl.markov, "_PANEL", panel)
+        P = np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0],
+                      [0.0, 0.25, 0.75, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        fitness, x = np.array([3, 1, 1, 4]), np.array([[0.0], [0.0], [0.0], [1.0]])
+        with pytest.raises(RuntimeError,
+                           match="^hand-built: transient block at fitness 1 is singular: "):
+            _solve_levels(P, fitness, np.array([0, 1, 2]), x, "hand-built")
+        # without the stuck pair the same panel solves
+        _solve_levels(P, fitness, np.array([0]), x, "hand-built")
+        assert x[0, 0] == 1.0
 
     def test_refuses_fitness_lowering_mass(self):
         # state 0 is transient; state 1 is known at x = 1, state 2 at x = 0
@@ -360,7 +459,8 @@ class TestRefusals:
         # ROADMAP open item 2 (log-domain level solve) is to turn these
         # refusals into answers; until then they must fail loudly, naming
         # the chain and the number that failed
-        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 67\.5 "):
+        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 1 at fitness 19 "
+                                               r"exceeds tolerance 1e-08$"):
             tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -20, 40)
         with pytest.raises(RuntimeError,
                            match=r"ea n=200 w=200: transient state 400 .*escape mass 0\)"):
