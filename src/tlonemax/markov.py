@@ -16,12 +16,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln
 
 from .core import check_length, check_weight
+
+# scipy is imported inside the three functions that use it, so that trials,
+# estimates and the CLI's sampling commands never load it: at module level it
+# took 0.38 s of the package's 0.58 s import (median of 5, 2 vCPUs, scipy 1.17)
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Absorbing classes, in fixed column order.
 CLASS_NAMES = ("optimum", "event1", "event2", "event3")
@@ -45,6 +50,8 @@ def lumped_index(prev_first: int, cur_first: int, k: int, n: int) -> int:
 
 
 def _binomial_logpmf(m, k, p: float):
+    from scipy.special import gammaln
+
     return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
             + k * math.log(p) + (m - k) * math.log1p(-p))
 
@@ -117,6 +124,8 @@ def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
 
 
 def _csr(blocks, size: int) -> sparse.csr_array:
+    from scipy import sparse
+
     data, indices, counts = zip(*blocks)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     indptr = indptr.astype(np.int32) if indptr[-1] < 2**31 else indptr
@@ -227,6 +236,8 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
     failing level, checked in this order: a state without escape mass, mass
     on a lower level (back-substitution would drop it), a singular level
     block, a residual over the tolerance (or NaN)."""
+    from scipy import sparse
+
     tol = _SOLVE_RESIDUAL_TOL if h is None else _HIT_RESIDUAL_TOL
     P = sparse.csr_array(P)
     order = unknown[np.argsort(-fitness[unknown], kind="stable")]
@@ -397,10 +408,11 @@ class HittingTimeResult:
     """Expected generations to reach the optimum, conditioned on reaching it.
 
     per_state[i] is NaN for states that never reach the optimum (stagnation
-    states and transient states with zero optimum mass) and 0 for states that
-    already are optima; ``overall`` conditions the uniform-initialization law
-    on eventual success.  ``absorption`` is the solve the h-transform reads,
-    the same result ``absorption_probabilities`` returns.
+    states and transient states whose optimum mass is at most 1e-12, which
+    are left out of the solve) and 0 for states that already are optima;
+    ``overall`` conditions the uniform-initialization law on eventual
+    success.  ``absorption`` is the solve the h-transform reads, the same
+    result ``absorption_probabilities`` returns.
     """
 
     kind: object
@@ -413,7 +425,9 @@ class HittingTimeResult:
 
 def conditional_hitting_time(kind, w: int, n: int) -> HittingTimeResult:
     """Doob h-transform of the transient chain: reweight transitions by the
-    optimum-absorption vector, then solve for expected steps to absorption."""
+    optimum-absorption vector, then solve for expected steps to absorption.
+    Only transient states with optimum mass above 1e-12 are solved; the rest
+    get NaN."""
     absorption, P, fitness, chain = _lumped_solution(kind, w, n)
     cls, h = absorption.state_class, absorption.per_state[:, 0]
     pos = np.flatnonzero((cls < 0) & (h > 1e-12))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -456,7 +457,7 @@ class TestRefusals:
                 call(tl.RLS, 1, 8.0)
 
     def test_known_defect_points_raise(self):
-        # ROADMAP open item 2 (log-domain level solve) is to turn these
+        # ROADMAP open item 1 (log-domain level solve) is to turn these
         # refusals into answers; until then they must fail loudly, naming
         # the chain and the number that failed
         with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 1 at fitness 19 "
@@ -515,15 +516,55 @@ _DEMOS = {"01_benchmark_tour": _check_prints,
           "06_population_rescue": _check_population_demo}
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*args, timeout):
+    """A fresh interpreter that imports tlonemax from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 @pytest.mark.parametrize("demo, check", _DEMOS.items(), ids=list(_DEMOS))
 def test_demo_runs(demo, check):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(root / "demos" / f"{demo}.py")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_python(str(_ROOT / "demos" / f"{demo}.py"), timeout=120)
     assert proc.returncode == 0, proc.stderr
     check(proc.stdout)
+
+
+_SCIPY_FREE_CALLS = """
+import contextlib, io, json, sys
+import tlonemax as tl
+from tlonemax import cli
+
+for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA, tl.mu_plus_one_ea(3)):
+    tl.run_trial(kind, 1, 8, 100, 0)
+tl.estimate(tl.ExperimentConfig(tl.ONE_PLUS_ONE_EA, 8, -2, 5, 200, 1))
+tl.runtime_scaling(tl.RLS, 1, [4, 6], 3, master_seed=2)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["estimate", "--algo", "mu-ea", "--mu", "2", "--n", "6", "--w", "0", "--trials", "3"],
+        ["scaling", "--algo", "ea", "--w", "0", "--ns", "4,6", "--trials", "3"],
+        ["trace", "--algo", "rls", "--n", "6", "--w", "1"],
+        ["verify", "--lemma", "facts", "--n", "4"],
+        ["verify", "--lemma", "selection", "--n", "4"])]
+before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+tl.absorption_probabilities(tl.RLS, 2, 8)
+print(json.dumps({"codes": codes, "before": before,
+                  "after_solve": "scipy.sparse" in sys.modules}))
+"""
+
+
+def test_sampling_paths_never_load_scipy():
+    # scipy costs about 0.4 s per process; only the exact chain may load it
+    proc = _run_python("-c", _SCIPY_FREE_CALLS, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0] * 5
+    assert report["before"] == []
+    assert report["after_solve"]
 
 
 class TestHittingTimes:
