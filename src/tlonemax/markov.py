@@ -5,10 +5,12 @@ so the full chain over (stored first bit, current bitstring) lumps exactly to
 4n states (stored first bit, current first bit, ones among positions 2..n).
 A lumped row is sparse: the accepted window of one row of an offspring table
 built once per (kind, n), the only place RLS and the (1+1) EA differ, plus
-the rejected mass.  Level by level in fitness order, the chains are solved
-for absorption probabilities (optimum vs each proven stagnation event) and
-expected generations to the optimum given success (the Doob h-transform).
-A brute-force full-state chain validates the lumping.
+the rejected mass.  Rows are made from the table when the solver asks for
+them, a group of levels at a time, so the whole chain is never stored.
+Level by level in fitness order, the chains are solved for absorption
+probabilities (optimum vs each proven stagnation event) and expected
+generations to the optimum given success (the Doob h-transform).  A
+brute-force full-state chain, stored whole, validates the lumping.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections.abc import Callable
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,7 +42,7 @@ _HIT_RESIDUAL_TOL = 1e-8
 _ABSORB_MASS_TOL = 1e-8
 _PROB_RANGE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-10
-_CHUNK = 1 << 18  # stored entries per group of panels in the vectorised solver pass
+_CHUNK = 1 << 16  # row entries per group of panels in the vectorised solver pass
 # states per panel, a run of whole levels solved as one dense block; OpenBLAS
 # threads solves from 100 x 100 up, which costs more than it saves at this size
 _PANEL = 64
@@ -130,30 +133,53 @@ def _csr(blocks, size: int) -> sparse.csr_array:
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     indptr = indptr.astype(np.int32) if indptr[-1] < 2**31 else indptr
     return sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
-                            shape=(size, size))
+                            shape=(indptr.size - 1, size))
 
 
-def _lumped_rows(kind, w: int, n: int) -> sparse.csr_array:
-    """Lumped rows, CSR.  Offspring (c', k') of state (p, c, k) is accepted
-    iff c' + k' + w * c >= c + k + w * p, giving (c, c', k'): the columns
-    j >= lo + c - c' + w * (p - c) of table row k; rejected mass stays."""
+class _RowSource(NamedTuple):
+    """Rows of a chain on demand: rows(states) is the CSR of their rows, in
+    the order asked, and sizes[i] bounds the entries stored in row i."""
+
+    rows: Callable[[np.ndarray], sparse.csr_array]
+    sizes: np.ndarray
+
+
+def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
+    """Lumped rows, built per call for the states asked, so no solve stores
+    the whole chain.  Offspring (c', k') of state (p, c, k) is accepted iff
+    c' + k' + w * c >= c + k + w * p, giving (c, c', k'): the columns
+    j >= lo + c - c' + w * (p - c) of table row k; rejected mass stays.  A
+    row's entries and their order do not depend on which other states are
+    asked for with it.  The table is fetched once, here."""
     _require_single_parent(kind, n)
     w = check_weight(w)
     lo, same, flip = _offspring_table(kind, n)
-    width, k, blocks = same.shape[1], np.arange(n), []
-    for p, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        t, u = (min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c))
-        cols = [(2 * c + cp) * n + k[:, None] - lo + np.arange(v, width)
-                for cp, v in ((c, t), (1 - c, u))]
-        blocks.append(_select_rows(np.hstack([same[:, t:], flip[:, u:]]), np.hstack(cols),
-                                   same[:, :t].sum(axis=1) + flip[:, :u].sum(axis=1),
-                                   lumped_index(p, c, k, n)))
-    return _csr(blocks, 4 * n)
+    width = same.shape[1]
+    # (p, c) and the first accepted table column (t) for c' = c and (u) for c' = 1 - c
+    windows = [(p, c, *(min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c)))
+               for p, c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+    def rows(states: np.ndarray) -> sparse.csr_array:
+        pc, k = np.divmod(states, n)
+        picks, blocks = [], []
+        for p, c, t, u in windows:
+            picks.append(pick := np.flatnonzero(pc == 2 * p + c))
+            kk = k[pick]
+            cols = [(2 * c + cp) * n + kk[:, None] - lo + np.arange(v, width)
+                    for cp, v in ((c, t), (1 - c, u))]
+            blocks.append(_select_rows(np.hstack([same[kk, t:], flip[kk, u:]]), np.hstack(cols),
+                                       same[kk, :t].sum(axis=1) + flip[kk, :u].sum(axis=1),
+                                       lumped_index(p, c, kk, n)))
+        # the blocks hold the rows in (p, c) order; put them in the order asked
+        return _csr(blocks, 4 * n)[np.argsort(np.concatenate(picks))]
+
+    sizes = np.repeat([2 * width - t - u + 1 for _, _, t, u in windows], n)
+    return _RowSource(rows, sizes)
 
 
 def build_transition_matrix(kind, w: int, n: int) -> np.ndarray:
     """Dense 4n x 4n view of the sparse lumped rows that the solvers use."""
-    return _lumped_rows(kind, w, n).toarray()
+    return _lumped_row_builder(kind, w, n).rows(np.arange(4 * n)).toarray()
 
 
 def state_classes(kind, w: int, n: int) -> np.ndarray:
@@ -217,9 +243,10 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
                   x: np.ndarray, chain: str, b: float = 0.0,
                   h: np.ndarray | None = None) -> np.ndarray:
     """Solve esc_i x_i - sum_{j != i} P_ij g_ij x_j = b for every state i in
-    ``unknown`` (P sparse or dense), where esc_i = sum_{j != i} P_ij,
-    g_ij = h_j / h_i under the Doob transform ``h`` (else 1), and ``x``
-    holds the known values outside ``unknown`` and zeros on it.
+    ``unknown`` (P a _RowSource, or a stored sparse or dense matrix), where
+    esc_i = sum_{j != i} P_ij, g_ij = h_j / h_i under the Doob transform
+    ``h`` (else 1), and ``x`` holds the known values outside ``unknown`` and
+    zeros on it.
 
     No accepted move lowers the fitness, so I - Q is block triangular in
     fitness order.  Sorted by descending fitness, a level's rows are one
@@ -229,17 +256,20 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
     gives the panel's right-hand side, and one dense solve of its I - Q
     (block triangular itself) gives its values.  Row masses and panel
     entries are vectorised over groups of whole panels of about _CHUNK
-    stored entries.  The diagonal is the direct sum of off-diagonal mass,
-    not 1 - P_ii, which cancels to zero at deep quasi-traps; rows are scaled
-    by it (the embedded jump chain), and each row's residual is checked
-    there, or under ``h`` on (I - Qh) x = b.  Refusals name the highest
-    failing level, checked in this order: a state without escape mass, mass
-    on a lower level (back-substitution would drop it), a singular level
-    block, a residual over the tolerance (or NaN)."""
-    from scipy import sparse
-
+    entries by the row source's bounds; a group's rows are fetched together,
+    so a builder makes them only then.  The diagonal is the direct sum of
+    off-diagonal mass, not 1 - P_ii, which cancels to zero at deep
+    quasi-traps; rows are scaled by it (the embedded jump chain), and each
+    row's residual is checked there, or under ``h`` on (I - Qh) x = b.
+    Refusals name the highest failing level, checked in this order: a state
+    without escape mass, mass on a lower level (back-substitution would drop
+    it), a singular level block, a residual over the tolerance (or NaN)."""
     tol = _SOLVE_RESIDUAL_TOL if h is None else _HIT_RESIDUAL_TOL
-    P = sparse.csr_array(P)
+    if not isinstance(P, _RowSource):  # a stored matrix, whose row sizes are exact
+        from scipy import sparse
+
+        P = sparse.csr_array(P)
+        P = _RowSource(P.__getitem__, np.diff(P.indptr))
     order = unknown[np.argsort(-fitness[unknown], kind="stable")]
     starts = np.flatnonzero(np.diff(fitness[order], prepend=np.inf, append=-np.inf))
     # a panel opens at the first level starting at or past each multiple of _PANEL
@@ -248,12 +278,12 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
     pos[order] = np.arange(order.size)
     panel_of[order] = np.repeat(np.arange(panels.size - 1), np.diff(panels))
     level_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-    filled = np.cumsum(np.diff(P.indptr)[order])[panels[1:] - 1]
+    filled = np.cumsum(P.sizes[order])[panels[1:] - 1]
     groups = np.flatnonzero(np.diff(filled // _CHUNK, prepend=-1)).tolist() + [panels.size - 1]
     for g0, g1 in zip(groups[:-1], groups[1:]):
         s0 = panels[g0]
         own = order[s0:panels[g1]]
-        R = P[own]
+        R = P.rows(own)
         ptr, cols, vals = R.indptr, R.indices, R.data
         row = np.repeat(np.arange(own.size), np.diff(ptr))
         other = cols != own[row]
@@ -315,10 +345,10 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
     return x
 
 
-def _solve_absorption(P: np.ndarray, cls: np.ndarray, fitness: np.ndarray,
-                      chain: str) -> np.ndarray:
-    """Per-state absorption probabilities for a chain with labelled classes."""
-    per = np.zeros((P.shape[0], len(CLASS_NAMES)))
+def _solve_absorption(P, cls: np.ndarray, fitness: np.ndarray, chain: str) -> np.ndarray:
+    """Per-state absorption probabilities for a chain with labelled classes
+    (P as in _solve_levels)."""
+    per = np.zeros((cls.size, len(CLASS_NAMES)))
     absorbing = cls >= 0
     per[absorbing, cls[absorbing]] = 1.0
     tr = np.flatnonzero(~absorbing)
@@ -339,8 +369,8 @@ def _solve_absorption(P: np.ndarray, cls: np.ndarray, fitness: np.ndarray,
 
 def _lumped_solution(kind, w: int, n: int):
     """Validated lumped chain solved for absorption:
-    (AbsorptionResult, sparse P, fitness per state, chain label)."""
-    P = _lumped_rows(kind, w, n)
+    (AbsorptionResult, its row builder, fitness per state, chain label)."""
+    P = _lumped_row_builder(kind, w, n)
     w = check_weight(w)
     chain = f"{kind.name} n={n} w={w}"
     cls = state_classes(kind, w, n)

@@ -96,16 +96,17 @@ class TestExact:
 
     @pytest.mark.parametrize("algo", ["rls", "ea"])
     def test_hitting_times_reuse_the_absorption_solve(self, capsys, monkeypatch, algo):
-        # --hitting-times builds the rows once and reports the probabilities
-        # of that one solve, bit-equal to those of the plain --per-state run
+        # --hitting-times solves for absorption once and reports the
+        # probabilities of that one solve, bit-equal to those of the plain
+        # --per-state run
         n, kind = 12, cli._parse_kind(algo, None)
-        build, calls = markov._lumped_rows, []
+        solve, calls = markov._solve_absorption, []
 
         def counted(*args):
-            calls.append(args)
-            return build(*args)
+            calls.append(args[-1])
+            return solve(*args)
 
-        monkeypatch.setattr(markov, "_lumped_rows", counted)
+        monkeypatch.setattr(markov, "_solve_absorption", counted)
         for w in (-n, -1, 2):
             argv = ["exact", "--algo", algo, "--n", str(n), "--w", str(w), "--per-state"]
             _, plain, _ = run(capsys, *argv)

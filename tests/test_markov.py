@@ -14,7 +14,8 @@ import pytest
 import tlonemax as tl
 from tlonemax.cli import EXIT_USAGE, main
 from tlonemax.core import _is_optimum_parts
-from tlonemax.markov import _offspring_table, _solve_levels, binomial_pmf, lumped_index
+from tlonemax.markov import (_lumped_row_builder, _offspring_table, _solve_levels, binomial_pmf,
+                             lumped_index)
 from tlonemax.stagnation import classify_lumped
 
 
@@ -91,6 +92,26 @@ class TestTransitionRow:
                         row = P[lumped_index(p, c, k, n)]
                         assert np.array_equal(row > 0, ref > 0), (n, w, p, c, k)
                         assert np.abs(row - ref).max() <= 1e-15, (n, w, p, c, k)
+
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_row_builder_keeps_rows_whatever_it_is_asked_with(self, n):
+        # the solver asks for its groups of states in fitness order; a row's
+        # entries and their order must not depend on the rows asked with it
+        rng = np.random.default_rng(n)
+        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
+            for w in (-n - 1, -2, 0, 1, 2, n + 1):
+                P = tl.build_transition_matrix(kind, w, n)
+                builder = _lumped_row_builder(kind, w, n)
+                states = rng.permutation(4 * n)[:3 * n]
+                whole = builder.rows(states)
+                assert np.array_equal(whole.toarray(), P[states]), (kind.name, w)
+                assert (np.diff(whole.indptr) <= builder.sizes[states]).all(), (kind.name, w)
+                parts = [builder.rows(part) for part in np.array_split(states, 5)]
+                for field in ("data", "indices"):
+                    assert np.array_equal(np.concatenate([getattr(R, field) for R in parts]),
+                                          getattr(whole, field)), (kind.name, w, field)
+                assert np.array_equal(np.concatenate([np.diff(R.indptr) for R in parts]),
+                                      np.diff(whole.indptr)), (kind.name, w)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="single-parent kinds only, got 'mu-ea'$"):
@@ -425,6 +446,25 @@ def test_solves_allocate_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < (4 * n) ** 2 * 8, peak
+
+
+def test_solve_memory_stays_below_the_offspring_table():
+    # rows are made per group of panels and never stored for the whole chain,
+    # so above a warm table the traced peak barely grows with n
+    import scipy.sparse  # noqa: F401  (loaded before tracing, so no peak counts its import)
+
+    peaks = {}
+    for n in (500, 1500):
+        _offspring_table(tl.ONE_PLUS_ONE_EA, n)
+        tracemalloc.start()
+        try:
+            tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, 2, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    _, same, flip = _offspring_table(tl.ONE_PLUS_ONE_EA, 1500)
+    assert peaks[1500] <= 1.5 * peaks[500], peaks
+    assert peaks[1500] < same.nbytes + flip.nbytes, (peaks, same.nbytes + flip.nbytes)
 
 
 class TestRefusals:
