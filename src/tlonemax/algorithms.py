@@ -12,8 +12,9 @@ seeded (1+1) EA trials differ from those of versions that drew n doubles
 per generation.  The (mu+1) EA has no public per-generation stepper.  Its
 named reference is ``_mu_plus_one_generation`` on population arrays, which
 takes its parent index, flip positions and tie-break from the caller;
-``run_trial`` gives the same trial on fitness buckets with Python-int
-bitstrings and block-drawn sub-streams (``_run_mu_plus_one``).  All three
+``run_trial`` gives the same trial on fitness buckets with block-drawn
+sub-streams (``_run_mu_plus_one``): bitstrings are Python ints, and each
+generation XORs its parent with one mask made ahead for its block.  All three
 algorithms evaluate an offspring against its parent's *current* first bit
 as the stored history; RLS and the (1+1) EA accept when the offspring
 fitness is at least the parent's ("at least as good" selection).  A trial
@@ -214,14 +215,17 @@ def _flip_cells(kind_name, n, rng):
 
 
 def _flip_source(kind_name, n, rng):
-    """draw(k): the positions flipped by the next k generations' mutations
-    (``_flip_cells``), in compressed rows: row r flips
-    cols[starts[r]:starts[r + 1]], and rows[i] is the row of cols[i]."""
+    """draw(k): the masks of the next k generations' mutations
+    (``_flip_cells``), as a list of k Python ints with bit j set iff
+    position j flips.  One pass over the block's flip cells makes them all,
+    at any n."""
     cells = _flip_cells(kind_name, n, rng)
 
     def draw(k):
         rows, cols = np.divmod(cells(k), n)
-        return rows, cols, np.searchsorted(rows, np.arange(k + 1))
+        masks = np.zeros(k, dtype=object)
+        np.bitwise_or.at(masks, rows, np.left_shift(1, cols.astype(object)))
+        return masks.tolist()
     return draw
 
 
@@ -471,9 +475,11 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     ``rng.integers(size)`` per generation, but seeded trials differ from
     those of versions that drew so.
 
-    Each member is [stored bit, bitstring, ones, array], the bitstring a
-    Python int with bit j = position j, so a generation costs a few int
-    operations per flipped bit.  Row order is increasing birth-stamp order
+    Each member is [stored bit, bitstring, array], the bitstring a Python
+    int with bit j = position j.  An offspring is its parent's bitstring
+    XOR the generation's mask from ``_flip_source``, and its ones-count is
+    that int's ``bit_count()``, so a generation costs a few int operations
+    whatever it flips.  Row order is increasing birth-stamp order
     (``stamps``): a removal keeps the order of the rest and a surviving
     offspring goes last.  So ``rows`` lists the members in the reference's
     row order, a member is found from its stamp by bisection, and
@@ -491,64 +497,60 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     """
     prevs, bits = _init_bits(_init_words(n, mu, rng), n)
     xs = [int.from_bytes(x, "little") for x in np.packbits(bits, axis=1, bitorder="little")]
-    rows = [list(member) for member in zip(prevs.tolist(), xs, bits.sum(axis=1).tolist(), bits)]
+    rows = [list(member) for member in zip(prevs.tolist(), xs, bits)]
     stamps = list(range(mu))
     buckets: dict[int, list[int]] = {}
-    for stamp, (prev, _, ones, _) in enumerate(rows):
-        buckets.setdefault(ones + w * prev, []).append(stamp)
+    for stamp, (prev, x, _) in enumerate(rows):
+        buckets.setdefault(x.bit_count() + w * prev, []).append(stamp)
     lo = min(buckets)
     seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2).tolist()).spawn(3)
     parents, flips, ties = (np.random.default_rng(s) for s in seeds)
     draw, pick = _flip_source("ea", n, flips), _tie_source(ties)
 
     def snapshot():
-        bare = [row for row in rows if row[3] is None]
+        bare = [row for row in rows if row[2] is None]
         joined = b"".join([row[1].to_bytes((n + 7) // 8, "little") for row in bare])
         packed = np.frombuffer(joined, dtype=np.uint8).reshape(len(bare), (n + 7) // 8)
         for row, a in zip(bare, np.unpackbits(packed, axis=1, count=n, bitorder="little")):
-            row[3] = a
-        return [PopulationMember(prev, a) for prev, _, _, a in rows]
+            row[2] = a
+        return [PopulationMember(prev, a) for prev, _, a in rows]
 
     if observer is not None:
         shown = snapshot()
         observer(0, shown, True, None)
-    if any(_is_optimum_parts(w, prev, ones, n) for prev, _, ones, _ in rows):
+    if any(_is_optimum_parts(w, prev, x.bit_count(), n) for prev, x, _ in rows):
         return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
     block = _FIRST_ROWS
-    r = k = 0
-    for g in range(1, budget + 1):
-        if r == k:
-            k, r = min(block, _BLOCK_DRAWS, budget - g + 1), 0
-            block *= 2
-            picks = parents.integers(mu, size=k).tolist()
-            _, cols, starts = draw(k)
-            cols, starts = cols.tolist(), starts.tolist()
-        _, x, ones, _ = rows[picks[r]]
-        prev = x & 1  # the offspring stores its parent's first bit
-        for c in cols[starts[r]:starts[r + 1]]:
-            ones += 1 - 2 * (x >> c & 1)
-            x ^= 1 << c
-        r += 1
-        fit = ones + w * prev
-        survived = fit >= lo
-        if survived:
-            bucket = buckets[lo]
-            size = len(bucket) + (fit == lo)
-            j = pick(size) if size > 1 else 0
-            survived = j < len(bucket)
-        if survived:
-            i = bisect_left(stamps, bucket.pop(j))
-            del stamps[i], rows[i]
-            stamps.append(mu + g)  # above every earlier birth stamp
-            rows.append([prev, x, ones, None])
-            buckets.setdefault(fit, []).append(mu + g)
-            if not bucket:
-                del buckets[lo]
-                lo = min(buckets)
-        if observer is not None:
+    g = 0
+    while g < budget:
+        k = min(block, _BLOCK_DRAWS, budget - g)
+        block *= 2
+        for g, parent, mask in zip(range(g + 1, g + k + 1),
+                                   parents.integers(mu, size=k).tolist(), draw(k)):
+            x = rows[parent][1]
+            prev = x & 1  # the offspring stores its parent's first bit
+            x ^= mask
+            ones = x.bit_count()
+            fit = ones + w * prev
+            survived = fit >= lo
             if survived:
-                shown = snapshot()
-            observer(g, shown, survived, None)
-        if survived and _is_optimum_parts(w, prev, ones, n):
-            return TrialOutcome(TrialStatus.OPTIMUM, g, None, snapshot())
+                bucket = buckets[lo]
+                size = len(bucket) + (fit == lo)
+                j = pick(size) if size > 1 else 0
+                survived = j < len(bucket)
+            if survived:
+                i = bisect_left(stamps, bucket.pop(j))
+                del stamps[i], rows[i]
+                stamps.append(mu + g)  # above every earlier birth stamp
+                rows.append([prev, x, None])
+                buckets.setdefault(fit, []).append(mu + g)
+                if not bucket:
+                    del buckets[lo]
+                    lo = min(buckets)
+            if observer is not None:
+                if survived:
+                    shown = snapshot()
+                observer(g, shown, survived, None)
+            if survived and _is_optimum_parts(w, prev, ones, n):
+                return TrialOutcome(TrialStatus.OPTIMUM, g, None, snapshot())
     return TrialOutcome(TrialStatus.BUDGET, budget, None, snapshot())

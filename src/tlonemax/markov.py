@@ -106,7 +106,10 @@ def _offspring_table(kind, n: int):
         # k' - k = u - d: sum over d of P(d down-flips) * P(u = k' - k + d up-flips)
         tail = np.einsum("kjd,kd->kj", np.lib.stride_tricks.sliding_window_view(up, D, axis=1),
                          np.exp(_binomial_logpmf(k, np.arange(D), inv_n)))
-        lo, same, flip = D - 1, (1.0 - inv_n) * tail, inv_n * tail
+        del up
+        # same is tail scaled in place, so at most two n x (2D - 1) arrays live
+        lo, flip = D - 1, inv_n * tail
+        same = np.multiply(tail, 1.0 - inv_n, out=tail)
     same.flags.writeable = flip.flags.writeable = False
     return lo, same, flip
 

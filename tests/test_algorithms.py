@@ -340,16 +340,16 @@ class TestSingleParentEngine:
 
     @pytest.mark.parametrize("n", [2, 3, 20])
     def test_flip_field_counts_are_binomial(self, n):
-        # per-generation flip counts of the drawn blocks against Bin(n, 1/n);
-        # at n <= 3, p = 1/n >= 1/3 and numpy draws geometric gaps by search
+        # the popcounts of the drawn blocks' masks against Bin(n, 1/n); at
+        # n <= 3, p = 1/n >= 1/3 and numpy draws geometric gaps by search
         # instead of by inversion
         draw = algorithms._flip_source("ea", n, np.random.default_rng(12 + n))
         blocks, flips = [1, 2, 7, 64, 1000, 5] * 40, []
         for k in blocks:
-            rows, cols, starts = draw(k)
-            assert ((0 <= cols) & (cols < n)).all() and (np.diff(rows) >= 0).all()
-            flips.append(np.diff(starts))
-        flips = np.concatenate(flips)
+            masks = draw(k)
+            assert len(masks) == k and all(type(m) is int and 0 <= m < 1 << n for m in masks)
+            flips.extend(m.bit_count() for m in masks)
+        flips = np.array(flips)
         assert flips.size == sum(blocks)
         stat, critical = binomial_chisquare(flips, n)
         assert stat < critical
@@ -570,6 +570,19 @@ class TestMuPlusOne:
                             case = (mu, n, w, budget, seed)
                             assert population_key(out) == population_key(ref), case
                             assert got.calls == want.calls, case
+
+    @pytest.mark.parametrize("n", [65, 130])
+    def test_multi_word_masks_match_reference_kernel(self, n):
+        # masks and bitstrings past one 64-bit word: outcome, final
+        # population and every observer call agree with the array kernel
+        for w in (-n - 1, 2, n + 1):
+            for mu, seed in ((1, 0), (4, 3), (9, 8)):
+                got, want = PopulationRecorder(), PopulationRecorder()
+                out = run_population_trial(mu, w, n, 600, seed, observer=got)
+                ref = reference_population_trial(mu, w, n, 600, seed, observer=want)
+                case = (mu, n, w, seed)
+                assert population_key(out) == population_key(ref), case
+                assert got.calls == want.calls, case
 
     def test_handed_out_arrays_never_written(self):
         # observers may keep the populations they are given

@@ -234,6 +234,20 @@ class TestAbsorption:
             for c in tl.CLASS_NAMES:
                 assert abs(base.overall[c] - other.overall[c]) <= 1e-12
 
+    @pytest.mark.parametrize("n", [12, 50])
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_weights_saturate_past_n(self, kind, n):
+        # ones-counts differ by at most n, so past |w| = n the stored-bit term
+        # decides every comparison it enters: the rows, the classes and the
+        # solve are bit for bit those of w = n + 1 (w = -(n + 1))
+        for sign in (1, -1):
+            near, far = sign * (n + 1), sign * 5 * n
+            for answer in (lambda w: tl.build_transition_matrix(kind, w, n),
+                           lambda w: tl.markov.state_classes(kind, w, n),
+                           lambda w: tl.absorption_probabilities(kind, w, n).per_state):
+                a, b = answer(near), answer(far)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (near, far)
+
     def test_probability_one_for_w0_w1(self):
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
             for w in (0, 1):
@@ -465,6 +479,20 @@ def test_solve_memory_stays_below_the_offspring_table():
     _, same, flip = _offspring_table(tl.ONE_PLUS_ONE_EA, 1500)
     assert peaks[1500] <= 1.5 * peaks[500], peaks
     assert peaks[1500] < same.nbytes + flip.nbytes, (peaks, same.nbytes + flip.nbytes)
+
+
+def test_table_build_peaks_near_the_table():
+    # up is dropped once tail is made and same is tail scaled in place, so a
+    # cold build holds little beside the two arrays it returns
+    import scipy.special  # noqa: F401  (loaded before tracing, so no peak counts its import)
+
+    tracemalloc.start()
+    try:
+        _, same, flip = _offspring_table.__wrapped__(tl.ONE_PLUS_ONE_EA, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * (same.nbytes + flip.nbytes), (peak, same.nbytes + flip.nbytes)
 
 
 class TestRefusals:
