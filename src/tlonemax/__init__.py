@@ -5,12 +5,6 @@ single-parent and population evolutionary algorithms whose fitness couples the
 current bitstring with the first bit of the previous decision, detectors for
 the proven absorbing stagnation events, exact absorbing-Markov-chain analysis
 on a symmetry-lumped state space, and reproducible Monte Carlo estimation.
-
-scipy is loaded only on first use by the exact-chain functions
-(``absorption_probabilities``, ``conditional_hitting_time``,
-``brute_force_absorption``, ``build_transition_matrix``,
-``initial_distribution``) and by ``check_rank_equivalence``; trials,
-estimates and scaling tables need numpy alone.
 """
 
 __version__ = "0.1.0"

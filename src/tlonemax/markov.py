@@ -19,17 +19,11 @@ import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Callable
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import check_length, check_weight
-
-# scipy is imported inside the three functions that use it, so that trials,
-# estimates and the CLI's sampling commands never load it: at module level it
-# took 0.38 s of the package's 0.58 s import (median of 5, 2 vCPUs, scipy 1.17)
-if TYPE_CHECKING:
-    from scipy import sparse
 
 #: Absorbing classes, in fixed column order.
 CLASS_NAMES = ("optimum", "event1", "event2", "event3")
@@ -53,10 +47,14 @@ def lumped_index(prev_first: int, cur_first: int, k: int, n: int) -> int:
 
 
 def _binomial_logpmf(m, k, p: float):
-    from scipy.special import gammaln
-
-    return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-            + k * math.log(p) + (m - k) * math.log1p(-p))
+    """log P(Bin(m, p) = k) over arrays m and k broadcast; -inf where k > m."""
+    m, k = np.asarray(m), np.asarray(k)
+    logfact = np.array([math.lgamma(i + 1) for i in range(max(m.max(), k.max()) + 1)])
+    rest = m - k
+    fits = rest >= 0
+    rest[~fits] = 0  # in place: one temporary of the broadcast shape fewer
+    return np.where(fits, logfact[m] - logfact[k] - logfact[rest]
+                    + k * math.log(p) + rest * math.log1p(-p), -np.inf)
 
 
 def binomial_pmf(m: int, p: float) -> np.ndarray:
@@ -115,7 +113,7 @@ def _offspring_table(kind, n: int):
 
 
 def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
-    """CSR pieces (data, indices, counts) of rows moving to cols[i, j] with
+    """Pieces (vals, cols, counts) of rows moving to cols[i, j] with
     accepted mass vals[i, j] and keeping their rejected mass on states[i],
     divided by their sums (float dust costs accuracy); zeros are dropped."""
     cols = np.broadcast_to(cols, vals.shape)
@@ -129,21 +127,26 @@ def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
     return vals[keep], cols[keep], keep.sum(axis=1)
 
 
-def _csr(blocks, size: int) -> sparse.csr_array:
-    from scipy import sparse
+def _stack(blocks):
+    """Rows (ptr, cols, vals) of the _select_rows blocks, in block order: row
+    i's entries are cols[ptr[i]:ptr[i + 1]] and vals[ptr[i]:ptr[i + 1]]."""
+    vals, cols, counts = (np.concatenate(part) for part in zip(*blocks))
+    return np.concatenate([[0], np.cumsum(counts)]), cols, vals
 
-    data, indices, counts = zip(*blocks)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    indptr = indptr.astype(np.int32) if indptr[-1] < 2**31 else indptr
-    return sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
-                            shape=(indptr.size - 1, size))
+
+def _take_rows(ptr, cols, vals, rows: np.ndarray):
+    """(ptr, cols, vals) of the given rows of stored rows, in that order."""
+    start, counts = ptr[rows], ptr[rows + 1] - ptr[rows]
+    out = np.concatenate([[0], np.cumsum(counts)])
+    take = np.repeat(start - out[:-1], counts) + np.arange(out[-1])
+    return out, cols[take], vals[take]
 
 
 class _RowSource(NamedTuple):
-    """Rows of a chain on demand: rows(states) is the CSR of their rows, in
-    the order asked, and sizes[i] bounds the entries stored in row i."""
+    """Rows of a chain on demand: rows(states) is their (ptr, cols, vals), in
+    the order asked (see _stack), and sizes[i] bounds row i's entries."""
 
-    rows: Callable[[np.ndarray], sparse.csr_array]
+    rows: Callable[[np.ndarray], tuple]
     sizes: np.ndarray
 
 
@@ -162,7 +165,7 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
     windows = [(p, c, *(min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c)))
                for p, c in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
-    def rows(states: np.ndarray) -> sparse.csr_array:
+    def rows(states: np.ndarray) -> tuple:
         pc, k = np.divmod(states, n)
         picks, blocks = [], []
         for p, c, t, u in windows:
@@ -174,7 +177,7 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
                                        same[kk, :t].sum(axis=1) + flip[kk, :u].sum(axis=1),
                                        lumped_index(p, c, kk, n)))
         # the blocks hold the rows in (p, c) order; put them in the order asked
-        return _csr(blocks, 4 * n)[np.argsort(np.concatenate(picks))]
+        return _take_rows(*_stack(blocks), np.argsort(np.concatenate(picks)))
 
     sizes = np.repeat([2 * width - t - u + 1 for _, _, t, u in windows], n)
     return _RowSource(rows, sizes)
@@ -182,7 +185,10 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
 
 def build_transition_matrix(kind, w: int, n: int) -> np.ndarray:
     """Dense 4n x 4n view of the sparse lumped rows that the solvers use."""
-    return _lumped_row_builder(kind, w, n).rows(np.arange(4 * n)).toarray()
+    ptr, cols, vals = _lumped_row_builder(kind, w, n).rows(np.arange(4 * n))
+    P = np.zeros((4 * n, 4 * n))
+    P[np.repeat(np.arange(4 * n), np.diff(ptr)), cols] = vals
+    return P
 
 
 def state_classes(kind, w: int, n: int) -> np.ndarray:
@@ -246,10 +252,10 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
                   x: np.ndarray, chain: str, b: float = 0.0,
                   h: np.ndarray | None = None) -> np.ndarray:
     """Solve esc_i x_i - sum_{j != i} P_ij g_ij x_j = b for every state i in
-    ``unknown`` (P a _RowSource, or a stored sparse or dense matrix), where
-    esc_i = sum_{j != i} P_ij, g_ij = h_j / h_i under the Doob transform
-    ``h`` (else 1), and ``x`` holds the known values outside ``unknown`` and
-    zeros on it.
+    ``unknown`` (P a _RowSource, or stored rows: a (ptr, cols, vals) triple
+    or a dense array), where esc_i = sum_{j != i} P_ij, g_ij = h_j / h_i
+    under the Doob transform ``h`` (else 1), and ``x`` holds the known values
+    outside ``unknown`` and zeros on it.
 
     No accepted move lowers the fitness, so I - Q is block triangular in
     fitness order.  Sorted by descending fitness, a level's rows are one
@@ -268,11 +274,11 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
     without escape mass, mass on a lower level (back-substitution would drop
     it), a singular level block, a residual over the tolerance (or NaN)."""
     tol = _SOLVE_RESIDUAL_TOL if h is None else _HIT_RESIDUAL_TOL
-    if not isinstance(P, _RowSource):  # a stored matrix, whose row sizes are exact
-        from scipy import sparse
-
-        P = sparse.csr_array(P)
-        P = _RowSource(P.__getitem__, np.diff(P.indptr))
+    if not isinstance(P, _RowSource):  # stored rows, whose sizes are exact
+        if isinstance(P, np.ndarray):
+            r, c = np.nonzero(P)
+            P = np.searchsorted(r, np.arange(P.shape[0] + 1)), c, P[r, c]
+        P = _RowSource(functools.partial(_take_rows, *P), np.diff(P[0]))
     order = unknown[np.argsort(-fitness[unknown], kind="stable")]
     starts = np.flatnonzero(np.diff(fitness[order], prepend=np.inf, append=-np.inf))
     # a panel opens at the first level starting at or past each multiple of _PANEL
@@ -286,8 +292,7 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
     for g0, g1 in zip(groups[:-1], groups[1:]):
         s0 = panels[g0]
         own = order[s0:panels[g1]]
-        R = P.rows(own)
-        ptr, cols, vals = R.indptr, R.indices, R.data
+        ptr, cols, vals = P.rows(own)
         row = np.repeat(np.arange(own.size), np.diff(ptr))
         other = cols != own[row]
         vals[~other] = 0.0
@@ -420,7 +425,7 @@ def brute_force_absorption(kind, w: int, n: int) -> AbsorptionResult:
                                    np.where(accepted, 0.0, M[xs]).sum(axis=1),
                                    prev * B + rank[xs]))
     del M
-    P = _csr(blocks, 2 * B)
+    P = _stack(blocks)
     del blocks
     gidx = (2 * stored + first[x]) * n + ones[x] - first[x]
     cls = state_classes(kind, w, n)

@@ -185,6 +185,11 @@ def check_selection_equivalence(n: int, extra_weights: list[int],
     )
 
 
+def _min_ranks(fits: np.ndarray) -> np.ndarray:
+    """Rank within each row, 1 + the count of smaller entries: ties share the lowest."""
+    return 1 + (fits[:, None, :] < fits[:, :, None]).sum(axis=2)
+
+
 def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
                            seed: int = 0) -> LemmaReport:
     """Identical population fitness ranks for all weights <= -n.
@@ -194,8 +199,6 @@ def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
     share a rank), and asserts the rank vectors agree across weights.  The
     margin is the smallest fitness gap between distinctly ranked members.
     """
-    from scipy.stats import rankdata  # imported here: scipy.stats takes about 1 s to load
-
     n = check_length(n)
     weights = [_integer("weight", w) for w in weights]
     check_seed(seed)
@@ -216,7 +219,7 @@ def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
     counterexample = None
     for w in weights:
         fits = oy + w * x1
-        ranks = rankdata(fits, axis=1, method="min")
+        ranks = _min_ranks(fits)
         if ranks_base is None:
             ranks_base = ranks
         elif not np.array_equal(ranks_base, ranks):
@@ -226,12 +229,9 @@ def check_rank_equivalence(n: int, M: int, samples: int, weights: list[int],
                               "ranks": ranks[bad].tolist(),
                               "base_ranks": ranks_base[bad].tolist()}
             break
-        if M > 1:
-            srt = np.sort(fits, axis=1)
-            gaps = np.diff(srt, axis=1)
-            nz = gaps[gaps > 0]
-            if nz.size:
-                worst = min(worst, int(nz.min()))
+        gaps = np.diff(np.sort(fits, axis=1), axis=1)
+        if (gaps > 0).any():
+            worst = min(worst, int(gaps[gaps > 0].min()))
     if worst is math.inf:
         worst = 1  # all ties everywhere: rank identity holds with unit slack
     return LemmaReport(

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 import tlonemax as tl
-from tlonemax.verify import LemmaReport, _binomial_pmf_exact
+from tlonemax.verify import LemmaReport, _binomial_pmf_exact, _min_ranks
 
 
 class TestMutationFacts:
@@ -108,6 +110,12 @@ class TestRankEquivalence:
         # tiny n forces massive tying; identity still holds below -n
         r = tl.check_rank_equivalence(2, 4, 500, [-3, -4, -8], seed=3)
         assert r.passed
+
+    @pytest.mark.parametrize("M", [1, 5, 9])
+    def test_min_ranks_match_scipy(self, M):
+        # scipy's rankdata is the independent oracle; few values force many ties
+        fits = np.random.default_rng(M).integers(-3, 3, size=(400, M))
+        assert np.array_equal(_min_ranks(fits), rankdata(fits, axis=1, method="min"))
 
 
 @pytest.mark.parametrize("call, error, message", [
