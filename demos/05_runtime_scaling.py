@@ -2,8 +2,8 @@
 
 For non-negative weights the successful runs take Theta(n log n) generations;
 dividing mean success generations by n ln n gives a near-flat curve.  The
-chain-based value conditions exactly on reaching the optimum (h-transform),
-so the two columns should track each other.
+chain-based value conditions exactly on reaching the optimum (first-step
+analysis on the absorbing chain), so the two columns should track each other.
 """
 
 import math

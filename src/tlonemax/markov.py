@@ -8,9 +8,9 @@ built once per (kind, n), the only place RLS and the (1+1) EA differ, plus
 the rejected mass.  Rows are made from the table when the solver asks for
 them, a group of levels at a time, so the whole chain is never stored.
 Level by level in fitness order, the chains are solved for absorption
-probabilities (optimum vs each proven stagnation event) and expected
-generations to the optimum given success (the Doob h-transform).  A
-brute-force full-state chain, stored whole, validates the lumping.
+probabilities (optimum vs each proven stagnation event) and, in the same
+pass, expected generations to the optimum given success.  A brute-force
+full-state chain, stored whole, validates the lumping.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ CLASS_NAMES = ("optimum", "event1", "event2", "event3")
 #: Full-state (unlumped) chains are enumerable up to this length.
 BRUTE_FORCE_MAX_N = 12
 
-_SOLVE_RESIDUAL_TOL = 1e-10
-_HIT_RESIDUAL_TOL = 1e-8
-_ABSORB_MASS_TOL = 1e-8
+_SOLVE_TOL = 1e-12  # normwise relative backward error of each solved column
 _PROB_RANGE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-10
 _CHUNK = 1 << 16  # row entries per group of panels in the vectorised solver pass
@@ -248,37 +246,36 @@ class AbsorptionResult:
         return sum(self.overall[name] for name in CLASS_NAMES[1:])
 
 
-def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
-                  x: np.ndarray, chain: str, b: float = 0.0,
-                  h: np.ndarray | None = None) -> np.ndarray:
-    """Solve esc_i x_i - sum_{j != i} P_ij g_ij x_j = b for every state i in
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused by name
+def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray, x: np.ndarray, chain: str,
+                  time_of: int | None = None) -> np.ndarray:
+    """Solve esc_i x_i - sum_{j != i} P_ij x_j = 0 for every state i in
     ``unknown`` (P a _RowSource, or stored rows: a (ptr, cols, vals) triple
-    or a dense array), where esc_i = sum_{j != i} P_ij, g_ij = h_j / h_i
-    under the Doob transform ``h`` (else 1), and ``x`` holds the known values
-    outside ``unknown`` and zeros on it.
+    or a dense array), where esc_i = sum_{j != i} P_ij and ``x`` holds the
+    known values outside ``unknown`` and zeros on it.  With ``time_of`` = c,
+    x's last column is y = E[T 1{class c}], whose right-hand side is x_ic.
 
     No accepted move lowers the fitness, so I - Q is block triangular in
     fitness order.  Sorted by descending fitness, a level's rows are one
     contiguous slice, and runs of whole levels of about _PANEL states form
-    panels; their boundaries depend on the levels alone.  x is filled in
-    place one panel at a time, from the top: one gather of the known values
-    gives the panel's right-hand side, and one dense solve of its I - Q
-    (block triangular itself) gives its values.  Row masses and panel
-    entries are vectorised over groups of whole panels of about _CHUNK
-    entries by the row source's bounds; a group's rows are fetched together,
-    so a builder makes them only then.  The diagonal is the direct sum of
-    off-diagonal mass, not 1 - P_ii, which cancels to zero at deep
-    quasi-traps; rows are scaled by it (the embedded jump chain), and each
-    row's residual is checked there, or under ``h`` on (I - Qh) x = b.
-    Refusals name the highest failing level, checked in this order: a state
-    without escape mass, mass on a lower level (back-substitution would drop
-    it), a singular level block, a residual over the tolerance (or NaN)."""
-    tol = _SOLVE_RESIDUAL_TOL if h is None else _HIT_RESIDUAL_TOL
+    panels, cut by the levels alone.  x is filled in place one panel at a
+    time, from the top: a gather of the known values gives the panel's
+    right-hand side R, and dense solves of its I - Q (block triangular
+    itself; y's last) give its values X.  Groups of whole panels of about
+    _CHUNK entries by the row source's bounds have their rows fetched and
+    vectorised together.  The diagonal is the direct sum of off-diagonal
+    mass, not 1 - P_ii, which cancels to zero at deep quasi-traps; rows are
+    scaled by it (the embedded jump chain).  Refusals name the highest
+    failing level, checked in this order: a state without escape mass, mass
+    on a lower level (back-substitution would drop it), a singular level
+    block, a value past double precision, and a column's normwise backward
+    error |A X - R| / (|A| |X| + |R|) over _SOLVE_TOL."""
     if not isinstance(P, _RowSource):  # stored rows, whose sizes are exact
         if isinstance(P, np.ndarray):
             r, c = np.nonzero(P)
             P = np.searchsorted(r, np.arange(P.shape[0] + 1)), c, P[r, c]
         P = _RowSource(functools.partial(_take_rows, *P), np.diff(P[0]))
+    m = x.shape[1] - (time_of is not None)
     order = unknown[np.argsort(-fitness[unknown], kind="stable")]
     starts = np.flatnonzero(np.diff(fitness[order], prepend=np.inf, append=-np.inf))
     # a panel opens at the first level starting at or past each multiple of _PANEL
@@ -301,10 +298,8 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
         esc = np.bincount(row, vals, own.size)
         lower = np.bincount(row[~up], vals[~up], own.size)
         bad = np.flatnonzero((esc <= 0.0) | (lower > 0.0))
-        if h is not None:
-            vals *= h[cols] / h[own][row]
         scale = np.where(esc > 0.0, esc, 1.0)
-        # row i of its panel's scaled I - Q: -P_ij g_ij / esc_i at the same or a
+        # row i of its panel's scaled I - Q: -P_ij / esc_i at the same or a
         # higher level of the panel, esc_i / esc_i = 1 on the diagonal
         i = np.flatnonzero((panel_of[cols] == panel_of[own][row]) & up & other)
         a_row, a_col, a_val = row[i], pos[cols[i]] - s0, -vals[i] / scale[row[i]]
@@ -312,29 +307,38 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
             e0, e1 = ptr[p0], ptr[p1]
             terms = np.take(x, cols[e0:e1], axis=0)
             terms *= vals[e0:e1, None]
-            rhs = (b + np.add.reduceat(terms, ptr[p0:p1] - e0)) / scale[p0:p1, None]
+            rhs = np.add.reduceat(terms, ptr[p0:p1] - e0) / scale[p0:p1, None]
             i0, i1 = np.searchsorted(a_row, (p0, p1))
             A = np.zeros((p1 - p0, p1 - p0))
             A[a_row[i0:i1] - p0, a_col[i0:i1] - p0] = a_val[i0:i1]
             A.flat[::p1 - p0 + 1] = 1.0
             fails, singular = [], None
             if (j := np.searchsorted(bad, p0)) < bad.size and bad[j] < p1:
-                fails.append((level_of[s0 + bad[j]], 0))
+                fails.append((level_of[s0 + bad[j]], 0, None))
             try:
-                x[own[p0:p1]] = sol = np.linalg.solve(A, rhs)
+                sol = np.linalg.solve(A, rhs[:, :m])
+                if time_of is not None:
+                    rhs[:, m] += sol[:, time_of] / scale[p0:p1]
+                    sol = np.column_stack([sol, np.linalg.solve(A, rhs[:, m])])
+                x[own[p0:p1]] = sol
             except np.linalg.LinAlgError as exc:
                 # A is block triangular: name its first singular level block
                 singular, v0 = exc, level_of[s0 + p0]
                 q = (starts[v0:level_of[s0 + p1 - 1] + 2] - s0 - p0).tolist()
                 fails.append((v0 + next((k for k, (q0, q1) in enumerate(zip(q[:-1], q[1:]))
-                                         if np.linalg.det(A[q0:q1, q0:q1]) == 0.0), 0), 1))
+                                         if np.linalg.det(A[q0:q1, q0:q1]) == 0.0), 0), 1, None))
             else:
-                residual = np.abs(A @ sol - rhs).max(axis=1) * (1.0 if h is None else esc[p0:p1])
-                if (over := np.flatnonzero(~(residual <= tol))).size:
-                    fails.append((level_of[s0 + p0 + over[0]], 2))
+                err = abs(A @ sol - rhs)
+                norm = abs(A).sum(axis=1).max() * abs(sol).max(axis=0) + abs(rhs).max(axis=0)
+                over = ~np.isfinite(rhs).all(axis=1)  # a solve spreads NaN over its panel
+                over = over if over.any() else ~np.isfinite(sol).all(axis=1)
+                if (r := np.flatnonzero(over)).size:
+                    fails.append((level_of[s0 + p0 + r[0]], 2, esc[p0 + r[0]]))
+                elif (r := np.flatnonzero((err > _SOLVE_TOL * norm).any(axis=1))).size:
+                    fails.append((level_of[s0 + p0 + r[0]], 3, np.nanmax(err.max(axis=0) / norm)))
             if not fails:
                 continue
-            v, why = min(fails)
+            v, why, value = min(fails)
             r0, r1 = starts[v] - s0, starts[v + 1] - s0
             level, e, d, f = own[r0:r1], esc[r0:r1], lower[r0:r1], fit[r0]
             if why == 0 and e.min() <= 0.0:
@@ -348,23 +352,23 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray,
             if why == 1:
                 raise RuntimeError(f"{chain}: transient block at fitness {f} is singular: "
                                    "some states never absorb") from singular
-            raise RuntimeError(f"{chain}: solve residual {residual[r0 - p0:r1 - p0].max():.3g} "
-                               f"at fitness {f} exceeds tolerance {tol:g}")
+            if why == 2:
+                raise RuntimeError(f"{chain}: expected generations at fitness {f} overflow "
+                                   f"double precision (escape mass {value:.3g})")
+            raise RuntimeError(f"{chain}: solve backward error {value:.3g} at fitness {f} "
+                               f"exceeds tolerance {_SOLVE_TOL:g}")
     return x
 
 
-def _solve_absorption(P, cls: np.ndarray, fitness: np.ndarray, chain: str) -> np.ndarray:
+def _solve_absorption(P, cls: np.ndarray, fitness: np.ndarray, chain: str, hitting=False):
     """Per-state absorption probabilities for a chain with labelled classes
-    (P as in _solve_levels)."""
-    per = np.zeros((cls.size, len(CLASS_NAMES)))
+    (P as in _solve_levels), and with ``hitting`` a last column E[T 1{optimum}]."""
+    x = np.zeros((cls.size, len(CLASS_NAMES) + hitting))
+    per = x[:, :len(CLASS_NAMES)]
     absorbing = cls >= 0
     per[absorbing, cls[absorbing]] = 1.0
     tr = np.flatnonzero(~absorbing)
-    mass = _solve_levels(P, fitness, tr, per, chain)[tr].sum(axis=1)
-    if tr.size and mass.min() < 1.0 - _ABSORB_MASS_TOL:
-        raise RuntimeError(
-            f"{chain}: chain is not almost surely absorbed (transient absorption "
-            f"mass {mass.min():.12f}); the dynamics model is inconsistent")
+    _solve_levels(P, fitness, tr, x, chain, 0 if hitting else None)
     sums_err = np.abs(per.sum(axis=1) - 1.0).max()
     if sums_err > _ROW_SUM_TOL:
         raise RuntimeError(f"{chain}: per-state class probabilities miss 1 by {sums_err:.3g}")
@@ -372,22 +376,23 @@ def _solve_absorption(P, cls: np.ndarray, fitness: np.ndarray, chain: str) -> np
         raise RuntimeError(f"{chain}: absorption probabilities span [{per.min():.3g}, "
                            f"{per.max():.3g}], outside [0, 1] beyond tolerance")
     np.clip(per, 0.0, 1.0, out=per)
-    return per
+    return x
 
 
-def _lumped_solution(kind, w: int, n: int):
-    """Validated lumped chain solved for absorption:
-    (AbsorptionResult, its row builder, fitness per state, chain label)."""
+def _lumped_solution(kind, w: int, n: int, hitting: bool = False):
+    """Validated lumped chain solved for absorption: (AbsorptionResult, the
+    last solved column, chain label); see _solve_absorption for ``hitting``."""
     P = _lumped_row_builder(kind, w, n)
     w = check_weight(w)
     chain = f"{kind.name} n={n} w={w}"
     cls = state_classes(kind, w, n)
     pc, k = np.divmod(np.arange(4 * n), n)
     fitness = pc % 2 + k + w * (pc // 2)
-    per = _solve_absorption(P, cls, fitness, chain)
+    x = _solve_absorption(P, cls, fitness, chain, hitting)
+    per = x[:, :len(CLASS_NAMES)]
     pi = initial_distribution(n)
     overall = {name: float(pi @ per[:, c]) for c, name in enumerate(CLASS_NAMES)}
-    return AbsorptionResult(kind, w, n, cls, per, overall), P, fitness, chain
+    return AbsorptionResult(kind, w, n, cls, per, overall), x[:, -1], chain
 
 
 def absorption_probabilities(kind, w: int, n: int) -> AbsorptionResult:
@@ -445,12 +450,10 @@ def brute_force_absorption(kind, w: int, n: int) -> AbsorptionResult:
 class HittingTimeResult:
     """Expected generations to reach the optimum, conditioned on reaching it.
 
-    per_state[i] is NaN for states that never reach the optimum (stagnation
-    states and transient states whose optimum mass is at most 1e-12, which
-    are left out of the solve) and 0 for states that already are optima;
-    ``overall`` conditions the uniform-initialization law on eventual
-    success.  ``absorption`` is the solve the h-transform reads, the same
-    result ``absorption_probabilities`` returns.
+    per_state[i] is NaN exactly where the optimum mass is 0, and 0 for
+    states that already are optima; ``overall`` conditions the
+    uniform-initialization law on eventual success.  ``absorption`` is the
+    same solve's result, equal to what ``absorption_probabilities`` returns.
     """
 
     kind: object
@@ -462,19 +465,15 @@ class HittingTimeResult:
 
 
 def conditional_hitting_time(kind, w: int, n: int) -> HittingTimeResult:
-    """Doob h-transform of the transient chain: reweight transitions by the
-    optimum-absorption vector, then solve for expected steps to absorption.
-    Only transient states with optimum mass above 1e-12 are solved; the rest
-    get NaN."""
-    absorption, P, fitness, chain = _lumped_solution(kind, w, n)
-    cls, h = absorption.state_class, absorption.per_state[:, 0]
-    pos = np.flatnonzero((cls < 0) & (h > 1e-12))
-    times = _solve_levels(P, fitness, pos, np.zeros((4 * n, 1)), chain, b=1.0, h=h)[:, 0]
-    unreached = cls != 0
-    unreached[pos] = False
-    times[unreached] = np.nan
-    pi = initial_distribution(n)
-    weights = pi * h
-    reachable = weights > 0
-    overall = float((weights[reachable] * times[reachable]).sum() / weights[reachable].sum())
+    """First-step analysis in the absorption pass: with h the optimum column,
+    y = E[T 1{optimum}] solves (I - Q) y = h, so E[T | optimum] is y / h per
+    state and pi y / pi h overall."""
+    absorption, y, chain = _lumped_solution(kind, w, n, True)
+    h = absorption.per_state[:, 0]
+    with np.errstate(over="ignore"):
+        times = y / np.where(h > 0.0, h, np.nan)
+    if (inf := np.isinf(times)).any():
+        raise RuntimeError(f"{chain}: expected generations of state {inf.argmax()} overflow "
+                           f"double precision (optimum mass {h[inf.argmax()]:.3g})")
+    overall = float(initial_distribution(n) @ y) / absorption.p_optimum  # pi y / pi h
     return HittingTimeResult(kind, absorption.w, n, times, overall, absorption)

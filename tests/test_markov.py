@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,11 +331,15 @@ def _rational_absorption(kind, w, n, rows):
     """Solve (I - Q) X = R over the transient states of the exact ``rows`` by
     Gauss-Jordan on Fractions; returns {transient state: [probability per class]}."""
     cls = tl.markov.state_classes(kind, w, n)
-    tr = [i for i in range(4 * n) if cls[i] < 0]
-    aug = [[int(i == j) - rows[i][j] for j in tr]
-           + [sum(rows[i][a] for a in range(4 * n) if cls[a] == c)
-              for c in range(len(tl.CLASS_NAMES))]
-           for i in tr]
+    return _rational_solve(rows, [i for i in range(4 * n) if cls[i] < 0],
+                           lambda i: [sum(rows[i][a] for a in range(4 * n) if cls[a] == c)
+                                      for c in range(len(tl.CLASS_NAMES))])
+
+
+def _rational_solve(rows, tr, rhs):
+    """Gauss-Jordan on Fractions of (I - Q) X = rhs over the states ``tr``;
+    rhs(i) is row i's right-hand side.  Returns {state: row of X}."""
+    aug = [[int(i == j) - rows[i][j] for j in tr] + rhs(i) for i in tr]
     t = len(tr)
     for col in range(t):
         piv = next(r for r in range(col, t) if aug[r][col] != 0)
@@ -375,6 +380,32 @@ class TestEaWeightTwoFailure:
 
 
 class TestLevelSolver:
+    def test_hitting_times_match_rational_oracle(self):
+        # y = E[T 1{optimum}] in exact arithmetic; the last three points were
+        # refused by the former reweighted (Doob) solve and its residual bound
+        ea = tl.ONE_PLUS_ONE_EA
+        cases = [(kind, w, n) for kind in (tl.RLS, ea) for n in (6, 8)
+                 for w in (-n, -1, 0, 2, n)] + [(ea, 10, 10), (ea, -10, 12), (ea, -9, 12)]
+        for kind, w, n in cases:
+            rows = _rational_lumped_rows(kind, w, n)
+            exact = _rational_absorption(kind, w, n, rows)
+            # first-step analysis: (I - Q) y = h, h the exact optimum column
+            y = {i: yi for i, (yi,) in _rational_solve(rows, list(exact),
+                                                       lambda i: [exact[i][0]]).items()}
+            hit = tl.conditional_hitting_time(kind, w, n)
+            cls = hit.absorption.state_class
+            start = [Fraction(math.comb(n - 1, i % n), 2 ** (n + 1)) for i in range(4 * n)]
+            h = {i: exact[i][0] if cls[i] < 0 else int(cls[i] == 0) for i in range(4 * n)}
+            for i in range(4 * n):
+                if h[i] == 0:
+                    assert math.isnan(hit.per_state[i]), (kind.name, w, n, i)
+                else:
+                    time = float(y.get(i, 0) / h[i])
+                    assert abs(hit.per_state[i] - time) <= 1e-13 * time, (kind.name, w, n, i)
+            overall = float(sum(p * y.get(i, 0) for i, p in enumerate(start))
+                            / sum(p * h[i] for i, p in enumerate(start)))
+            assert abs(hit.overall - overall) <= 1e-13 * overall, (kind.name, w, n)
+
     def test_matches_rational_oracle(self):
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
             for n in (4, 6):
@@ -392,8 +423,9 @@ class TestLevelSolver:
 
     def test_level_groups_do_not_change_results(self, monkeypatch):
         # the vectorised pass runs over groups of whole levels; any grouping
-        # must give bit-identical answers, refusals included
-        cases = [(tl.ONE_PLUS_ONE_EA, -3, 40), (tl.RLS, 5, 40), (tl.ONE_PLUS_ONE_EA, 2, 60)]
+        # must give bit-identical answers
+        cases = [(tl.ONE_PLUS_ONE_EA, -3, 40), (tl.RLS, 5, 40), (tl.ONE_PLUS_ONE_EA, 2, 60),
+                 (tl.ONE_PLUS_ONE_EA, -20, 40)]
         default = [(tl.absorption_probabilities(k, w, n).per_state,
                     tl.conditional_hitting_time(k, w, n).per_state) for k, w, n in cases]
         monkeypatch.setattr(tl.markov, "_CHUNK", 50)
@@ -401,18 +433,14 @@ class TestLevelSolver:
             assert np.array_equal(tl.absorption_probabilities(kind, w, n).per_state, per)
             assert np.array_equal(tl.conditional_hitting_time(kind, w, n).per_state, hit,
                                   equal_nan=True)
-        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 1 at fitness 19 "
-                                               r"exceeds tolerance 1e-08$"):
-            tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -20, 40)
 
     def test_one_level_panels_agree_with_default(self, monkeypatch):
         # panels of one level each are the level-by-level solve; panels of
         # many levels may round differently, refusals included
         cases = [(tl.RLS, -1, 200), (tl.RLS, 5, 200), (tl.ONE_PLUS_ONE_EA, -3, 40),
-                 (tl.ONE_PLUS_ONE_EA, -200, 200), (tl.ONE_PLUS_ONE_EA, 2, 200)]
-        refusals = [(tl.conditional_hitting_time, tl.ONE_PLUS_ONE_EA, -20, 40),
-                    (tl.conditional_hitting_time, tl.ONE_PLUS_ONE_EA, 20, 40),
-                    (tl.absorption_probabilities, tl.ONE_PLUS_ONE_EA, 200, 200)]
+                 (tl.ONE_PLUS_ONE_EA, -200, 200), (tl.ONE_PLUS_ONE_EA, 2, 200),
+                 (tl.ONE_PLUS_ONE_EA, -20, 40), (tl.ONE_PLUS_ONE_EA, 20, 40)]
+        refusals = [(tl.absorption_probabilities, tl.ONE_PLUS_ONE_EA, 200, 200)]
 
         def run():
             hits = [tl.conditional_hitting_time(kind, w, n) for kind, w, n in cases]
@@ -420,8 +448,8 @@ class TestLevelSolver:
             for fn, kind, w, n in refusals:
                 with pytest.raises(RuntimeError) as info:
                     fn(kind, w, n)
-                # the residual itself is a rounding artifact of the solve order
-                messages.append(re.sub(r"residual \S+ ", "residual ", str(info.value)))
+                # a backward error itself is a rounding artifact of the solve order
+                messages.append(re.sub(r"error \S+ ", "error ", str(info.value)))
             return hits, messages
 
         default, refused = run()
@@ -535,15 +563,30 @@ class TestRefusals:
                 call(tl.RLS, 1, 8.0)
 
     def test_known_defect_points_raise(self):
-        # ROADMAP open item 1 (log-domain level solve) is to turn these
-        # refusals into answers; until then they must fail loudly, naming
+        # ROADMAP open item 1 (log-domain level solve) is to turn this
+        # refusal into an answer; until then it must fail loudly, naming
         # the chain and the number that failed
-        with pytest.raises(RuntimeError, match=r"ea n=40 w=-20: solve residual 1 at fitness 19 "
-                                               r"exceeds tolerance 1e-08$"):
-            tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -20, 40)
         with pytest.raises(RuntimeError,
                            match=r"ea n=200 w=200: transient state 400 .*escape mass 0\)"):
             tl.absorption_probabilities(tl.ONE_PLUS_ONE_EA, 200, 200)
+        # former refusals of the reweighted hitting solve, against 50-digit
+        # mpmath level solves (the same to 25 digits at 60); seen: 7.9e-15
+        # and 4.5e-14 relative
+        for w, n, exact, tol in ((-20, 40, 4.390943898044434540748739e29, 1e-13),
+                                 (50, 100, 5.597790614459165304814728e98, 1e-12)):
+            hit = tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, w, n)
+            assert abs(hit.overall / exact - 1) <= tol, (w, n, hit.overall)
+
+    def test_time_overflow_is_refused(self):
+        # at the deepest quasi-trap the expected time passes 1.8e308; the
+        # refusal names the chain, the level and its escape mass, unwarned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"^ea n=200 w=140: expected generations at "
+                                                   r"fitness 200 overflow double precision "
+                                                   r"\(escape mass \S+\)$") as info:
+                tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, 140, 200)
+        assert 0.0 < float(re.search(r"mass (\S+)\)", str(info.value)).group(1)) < 1e-300
 
 
 def _check_exact_demo(out):
@@ -679,6 +722,24 @@ class TestHittingTimes:
             assert math.isnan(hit.per_state[lumped_index(1, 1, k, n)])
         # optimum states take zero further generations
         assert hit.per_state[lumped_index(0, 1, n - 1, n)] == 0.0
+
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_rows_are_built_once(self, monkeypatch, kind):
+        # probabilities and times come from one top-down pass: the builder is
+        # asked for each transient row exactly once, over several panel groups
+        build, asked = tl.markov._lumped_row_builder, []
+
+        def counted(*args):
+            source = build(*args)
+            return source._replace(rows=lambda states: asked.append(states)
+                                   or source.rows(states))
+
+        monkeypatch.setattr(tl.markov, "_lumped_row_builder", counted)
+        monkeypatch.setattr(tl.markov, "_CHUNK", 50)
+        hit = tl.conditional_hitting_time(kind, -3, 40)
+        assert len(asked) > 1
+        assert np.array_equal(np.sort(np.concatenate(asked)),
+                              np.flatnonzero(hit.absorption.state_class < 0))
 
     def test_overall_positive_and_finite(self):
         hit = tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -6, 6)
