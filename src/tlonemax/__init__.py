@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .algorithms import (ONE_PLUS_ONE_EA, RLS, AlgorithmKind, PopulationMember,
                          TrialOutcome, TrialStatus, mu_plus_one_ea, run_trial,
                          split_seed, step)
-from .core import (MAX_WEIGHT, TLState, as_bits, fitness, is_global_optimum,
-                   random_bitstring, random_init)
+from .core import TLState, as_bits, fitness, is_global_optimum, random_init
+# build_transition_matrix stays a package attribute outside __all__: perfbench reads it
 from .markov import (CLASS_NAMES, AbsorptionResult, HittingTimeResult,
                      absorption_probabilities, brute_force_absorption,
-                     build_transition_matrix, conditional_hitting_time,
-                     initial_distribution)
+                     build_transition_matrix, conditional_hitting_time)
 from .montecarlo import (EstimateResult, ExperimentConfig, ScalingRow,
                          default_budget, estimate, runtime_scaling, wilson_ci)
 from .stagnation import StagnationEvent, classify, is_absorbing_oracle
@@ -28,12 +27,10 @@ __all__ = [
     "__version__",
     "AlgorithmKind", "RLS", "ONE_PLUS_ONE_EA", "mu_plus_one_ea",
     "TLState", "PopulationMember", "TrialOutcome", "TrialStatus",
-    "MAX_WEIGHT", "as_bits", "fitness", "is_global_optimum",
-    "random_bitstring", "random_init",
+    "as_bits", "fitness", "is_global_optimum", "random_init",
     "step", "run_trial", "split_seed",
     "StagnationEvent", "classify", "is_absorbing_oracle",
     "CLASS_NAMES", "AbsorptionResult", "HittingTimeResult",
-    "build_transition_matrix", "initial_distribution",
     "absorption_probabilities", "brute_force_absorption",
     "conditional_hitting_time",
     "ExperimentConfig", "EstimateResult", "ScalingRow",

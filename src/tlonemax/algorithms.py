@@ -32,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (TLState, _init_bits, _init_words, _integer, _is_optimum_parts, check_count,
-                   check_length, check_seed, check_weight, fitness)
-from .stagnation import StagnationEvent, classify_lumped
+from .core import (TLState, _init_bits, _init_words, _integer, check_count, check_length,
+                   check_seed, check_weight, fitness, top_fitness)
+from .stagnation import CODE_EVENTS, StagnationEvent, class_codes, lumped_index
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,8 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
     than half its next block left draws that block; blocks double from
     ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS`` rows.  Each generator is read in
     order whatever the block sizes.  A trial leaves the batch at the
-    optimum, at a proven stagnation event or at the budget.  Every
+    optimum or at a proven stagnation event, read off one list of the
+    ``class_codes`` of all 4n lumped states, or at the budget.  Every
     handed-out bitstring is a new array, never written again.
     """
     m, width = len(rngs), n + 1
@@ -284,25 +285,28 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
     trials[8] = _FIRST_ROWS
     trials[9] = min(_FIRST_ROWS, _BLOCK_DRAWS)
     table = np.empty((1, 0), dtype=np.min_scalar_type(m * width))
+    # the class code of every lumped state, by lumped_index
+    lumped = np.arange(4 * n)
+    codes = class_codes(kind_name, w, n, lumped // (2 * n), lumped // n % 2, lumped % n).tolist()
 
     def state(s, prev, t, g):
         return TLState(prev, (gain[s, :n] < 0).astype(np.uint8), t, g)
 
     def settle(positions):
-        """Optimum test and classification of the trials at ``positions``,
-        whose state was just initialised or changed; returns those that end."""
+        """Class codes of the trials at ``positions``, whose state was just
+        initialised or changed; returns those that end."""
         ended = []
         for p, (s, prev, x1, ones, t, g) in zip(positions.tolist(),
                                                  trials[:6, positions].T.tolist()):
-            optimum = _is_optimum_parts(w, prev, ones, n)
-            event = None if optimum else classify_lumped(kind_name, w, n, prev, x1, ones - x1)
-            if observer is None and not optimum and event is None:
+            code = codes[lumped_index(prev, x1, ones - x1, n)]
+            if observer is None and code < 0:
                 continue
             st = state(s, prev, t, g)
+            event = CODE_EVENTS[code]
             if observer is not None:
                 observer(g, st, True, event)
-            if optimum or event is not None:
-                status = TrialStatus.OPTIMUM if optimum else TrialStatus.STAGNATED
+            if code >= 0:
+                status = TrialStatus.OPTIMUM if code == 0 else TrialStatus.STAGNATED
                 outcomes[s] = TrialOutcome(status, g, event, st)
                 ended.append(p)
         return ended
@@ -518,7 +522,8 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     if observer is not None:
         shown = snapshot()
         observer(0, shown, True, None)
-    if any(_is_optimum_parts(w, prev, x.bit_count(), n) for prev, x, _ in rows):
+    top = top_fitness(w, n)
+    if max(buckets) == top:
         return TrialOutcome(TrialStatus.OPTIMUM, 0, None, snapshot())
     block = _FIRST_ROWS
     g = 0
@@ -530,8 +535,7 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
             x = rows[parent][1]
             prev = x & 1  # the offspring stores its parent's first bit
             x ^= mask
-            ones = x.bit_count()
-            fit = ones + w * prev
+            fit = x.bit_count() + w * prev
             survived = fit >= lo
             if survived:
                 bucket = buckets[lo]
@@ -551,6 +555,6 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
                 if survived:
                     shown = snapshot()
                 observer(g, shown, survived, None)
-            if survived and _is_optimum_parts(w, prev, ones, n):
+            if survived and fit == top:
                 return TrialOutcome(TrialStatus.OPTIMUM, g, None, snapshot())
     return TrialOutcome(TrialStatus.BUDGET, budget, None, snapshot())

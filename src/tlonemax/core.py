@@ -118,15 +118,11 @@ class TLState:
         return fitness(w, self.prev_first, self.current)
 
 
-def _is_optimum_parts(w: int, prev_first: int, n_ones: int, n: int) -> bool:
-    """Optimum test on (prev_first, ones-count) without touching the array."""
-    if n_ones != n:
-        return False
-    if w < 0:
-        return prev_first == 0
-    if w > 0:
-        return prev_first == 1
-    return True
+def top_fitness(w: int, n: int) -> int:
+    """Highest fitness at length n: n ones, plus w when a stored 1 pays.
+    A state reaches it iff it is a global optimum, since ones <= n and the
+    stored bit is 0 or 1."""
+    return n + max(w, 0)
 
 
 def is_global_optimum(w: int, state: TLState) -> bool:
@@ -135,7 +131,8 @@ def is_global_optimum(w: int, state: TLState) -> bool:
     The current bitstring must be all ones; the stored previous first bit must
     be 0 for w < 0, 1 for w > 0, and is unrestricted for w = 0.
     """
-    return _is_optimum_parts(check_weight(w), state.prev_first, int(state.current.sum()), state.n)
+    w = check_weight(w)
+    return state.fitness(w) == top_fitness(w, state.n)
 
 
 def random_bitstring(n: int, rng: np.random.Generator) -> np.ndarray:

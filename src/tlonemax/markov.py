@@ -24,9 +24,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import check_length, check_weight
+from .stagnation import StagnationEvent, class_codes, lumped_index
 
-#: Absorbing classes, in fixed column order.
-CLASS_NAMES = ("optimum", "event1", "event2", "event3")
+#: Absorbing classes, in fixed column order: the class codes of
+#: ``stagnation.class_codes``.
+CLASS_NAMES = ("optimum", *(event.value for event in StagnationEvent))
 
 #: Full-state (unlumped) chains are enumerable up to this length.
 BRUTE_FORCE_MAX_N = 12
@@ -38,10 +40,6 @@ _CHUNK = 1 << 16  # row entries per group of panels in the vectorised solver pas
 # states per panel, a run of whole levels solved as one dense block; OpenBLAS
 # threads solves from 100 x 100 up, which costs more than it saves at this size
 _PANEL = 64
-
-
-def lumped_index(prev_first: int, cur_first: int, k: int, n: int) -> int:
-    return (prev_first * 2 + cur_first) * n + k
 
 
 def _binomial_logpmf(m, k, p: float):
@@ -193,26 +191,11 @@ def state_classes(kind, w: int, n: int) -> np.ndarray:
     """Absorbing class per lumped state: CLASS_NAMES index, or -1 if transient.
 
     The absorbing set is exactly the optimum states plus the classified
-    stagnation events -- nothing speculative.  The masks restate, over all
-    (p, c, k) at once, the proven patterns of ``stagnation.classify_lumped``
-    and the optimum test of ``core.is_global_optimum``.
+    stagnation events of ``stagnation.class_codes`` -- nothing speculative.
     """
     _require_single_parent(kind, n)
-    w = check_weight(w)
-    pc, k = np.divmod(np.arange(4 * n), n)
-    p, c = np.divmod(pc, 2)
-    rls = kind.name == "rls"
-    cls = np.full(4 * n, -1, dtype=np.int64)
-    if w < 0:
-        # event1: (0, 1), not all ones, and under bit-wise mutation k >= w + n
-        cls[(p == 0) & (c == 1) & (k <= n - 2) & (w <= -2) & (rls | (k >= w + n))] = 1
-        # event2: (1, 1), all ones
-        cls[(p == 1) & (c == 1) & (k == n - 1)] = 2
-    elif w > 0:
-        # event3: (1, 0), for every w > 1 under one-bit mutation, else k >= n - w + 1
-        cls[(p == 1) & (c == 0) & ((w > 1) if rls else (k >= n - w + 1))] = 3
-    cls[(c + k == n) & ((w == 0) | (p == int(w > 0)))] = 0
-    return cls
+    lumped = np.arange(4 * n)
+    return class_codes(kind.name, check_weight(w), n, lumped // (2 * n), lumped // n % 2, lumped % n)
 
 
 @dataclass(eq=False)

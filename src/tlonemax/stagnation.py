@@ -15,9 +15,11 @@ optimum is unreachable afterwards.
   mutation this is absorbing for every w > 1, under bit-wise mutation the ones
   among positions 2..n must lie in [n-w+1 .. n-1].
 
-``classify`` pattern-matches exactly these proven conditions and nothing else;
-``is_absorbing_oracle`` re-derives absorption from first principles (fitness
-bounds and offspring enumeration) independently of ``classify``.
+``class_codes`` is the one place these proven conditions and the optimum
+test are written, over the symmetry-reduced coordinates, and nothing else is
+labelled absorbing; ``classify``, the trial engine and the exact chain all
+read it.  ``is_absorbing_oracle`` re-derives absorption from first
+principles (fitness bounds and offspring enumeration) independently of it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import TLState, check_weight, fitness
+from .core import TLState, check_weight, fitness, top_fitness
 
 #: One-bit-mutation states stay exactly enumerable up to this length.
 RLS_ORACLE_MAX_N = 16
@@ -40,27 +42,32 @@ class StagnationEvent(str, Enum):
     EVENT_III = "event3"
 
 
-def classify_lumped(kind_name: str, w: int, n: int, prev_first: int,
-                    cur_first: int, rest_ones: int) -> StagnationEvent | None:
-    """Classify from the symmetry-reduced coordinates.
+#: The event of each class code, by index: code i > 0 is event i, and the
+#: optimum (0) and transient states (-1, the last entry) have none.
+CODE_EVENTS = (None, *StagnationEvent, None)
 
-    ``rest_ones`` is the ones-count among positions 2..n.  Returns None when
-    no proven absorbing pattern applies; intervals whose lower bound exceeds
-    their upper bound are empty and never fire.
+
+def lumped_index(prev_first: int, cur_first: int, k: int, n: int) -> int:
+    """Index in 0..4n-1 of the lumped state (stored bit, current first bit,
+    ones among positions 2..n)."""
+    return (prev_first * 2 + cur_first) * n + k
+
+
+def class_codes(kind_name: str, w: int, n: int, p, c, k):
+    """Absorbing class of the lumped states (p, c, k): 0 for the optimum, i
+    for event i, -1 for a transient state.
+
+    p, c and k (stored bit, current first bit, ones among positions 2..n)
+    are arrays or scalars, broadcast together.  Intervals whose lower bound
+    exceeds their upper bound are empty and never fire.
     """
-    if w < 0:
-        if prev_first == 1 and cur_first == 1 and rest_ones == n - 1:
-            return StagnationEvent.EVENT_II
-        if w <= -2 and prev_first == 0 and cur_first == 1 and rest_ones <= n - 2:
-            if kind_name == "rls" or rest_ones >= w + n:
-                return StagnationEvent.EVENT_I
-        return None
-    if w > 0 and prev_first == 1 and cur_first == 0:
-        if kind_name == "rls":
-            return StagnationEvent.EVENT_III if w > 1 else None
-        if n - w + 1 <= rest_ones <= n - 1:
-            return StagnationEvent.EVENT_III
-    return None
+    rls = kind_name == "rls"
+    optimum = p * w + c + k == top_fitness(w, n)
+    event1 = (w <= -2) & (p == 0) & (c == 1) & (k <= n - 2) & (rls | (k >= w + n))
+    event2 = (w < 0) & (p == 1) & (c == 1) & (k == n - 1)
+    # under one-bit mutation for every w > 1, else with k >= n - w + 1
+    event3 = (w > 0) & (p == 1) & (c == 0) & ((w > 1) if rls else (k >= n - w + 1))
+    return np.where(optimum, 0, np.where(event1, 1, np.where(event2, 2, np.where(event3, 3, -1))))
 
 
 def classify(kind, w: int, state: TLState) -> StagnationEvent | None:
@@ -72,9 +79,10 @@ def classify(kind, w: int, state: TLState) -> StagnationEvent | None:
     if not kind.single_parent:
         raise ValueError("classification is defined for single-parent kinds only, "
                          f"got {kind.name!r}")
-    cur_first = int(state.current[0])
-    rest_ones = int(state.current[1:].sum())
-    return classify_lumped(kind.name, check_weight(w), state.n, state.prev_first, cur_first, rest_ones)
+    x = state.current
+    code = class_codes(kind.name, check_weight(w), state.n, state.prev_first, int(x[0]),
+                       int(x[1:].sum()))
+    return CODE_EVENTS[code]
 
 
 def is_absorbing_oracle(kind, w: int, state: TLState) -> bool:

@@ -37,7 +37,7 @@ class TestMutateRls:
     def test_hamming_distance_always_one(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
-            x = tl.random_bitstring(int(rng.integers(2, 20)), rng)
+            x = tl.core.random_bitstring(int(rng.integers(2, 20)), rng)
             y = mutate_rls(x, rng)
             assert int((x != y).sum()) == 1
 
@@ -54,7 +54,7 @@ class TestMutateRls:
         rng = np.random.default_rng(2)
         n, trials = 10, 10**5
         counts = np.zeros(n)
-        x = tl.random_bitstring(n, rng)
+        x = tl.core.random_bitstring(n, rng)
         for _ in range(trials):
             y = mutate_rls(x, rng)
             counts[int(np.flatnonzero(x != y)[0])] += 1
@@ -66,7 +66,7 @@ class TestMutateEa:
     def test_flip_count_distribution(self):
         rng = np.random.default_rng(3)
         n, trials = 10, 10**5
-        x = tl.random_bitstring(n, rng)
+        x = tl.core.random_bitstring(n, rng)
         flips = np.array([(x != mutate_ea(x, rng)).sum() for _ in range(trials)])
         p_none = (1 - 1 / n) ** n
         p_one = (1 - 1 / n) ** (n - 1)

@@ -31,6 +31,25 @@ def test_is_global_optimum(w, prev, bits, expected):
     assert tl.is_global_optimum(w, tl.TLState(prev, tl.as_bits(bits))) is expected
 
 
+def test_is_global_optimum_exhaustive():
+    # the docstring rule on every bitstring: all ones, with stored bit 0 for
+    # w < 0 and 1 for w > 0
+    for n in range(2, 7):
+        for value in range(1 << n):
+            x = np.array([(value >> i) & 1 for i in range(n)], dtype=np.uint8)
+            for prev in (0, 1):
+                s = tl.TLState(prev, x)
+                for w in [*range(-8, 9), -2**31, 2**31]:
+                    rule = value == (1 << n) - 1 and (w == 0 or prev == int(w > 0))
+                    assert tl.is_global_optimum(w, s) is rule, (n, value, prev, w)
+
+
+def test_public_names():
+    assert len(tl.__all__) == len(set(tl.__all__)) == 36
+    for name in tl.__all__:
+        getattr(tl, name)
+
+
 def test_optimum_implies_all_ones():
     rng = np.random.default_rng(0)
     for _ in range(500):
@@ -46,7 +65,7 @@ def test_fitness_monotone_in_ones():
     rng = np.random.default_rng(1)
     for _ in range(200):
         n = int(rng.integers(2, 20))
-        x = tl.random_bitstring(n, rng)
+        x = tl.core.random_bitstring(n, rng)
         w = int(rng.integers(-50, 51))
         prev = int(rng.integers(0, 2))
         base = tl.fitness(w, prev, x)

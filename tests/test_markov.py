@@ -15,10 +15,9 @@ from scipy.stats import binom
 
 import tlonemax as tl
 from tlonemax.cli import EXIT_USAGE, main
-from tlonemax.core import _is_optimum_parts
 from tlonemax.markov import (_binomial_logpmf, _lumped_row_builder, _offspring_table,
                              _solve_levels, binomial_pmf, lumped_index)
-from tlonemax.stagnation import classify_lumped
+from tlonemax.stagnation import RLS_ORACLE_MAX_N
 
 
 class TestTransitionRow:
@@ -145,19 +144,21 @@ def _select_reference(law, w, n, p, c, k):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 12, 40, 200])
 def test_state_classes_match_per_state_classification(n):
-    # the masks restate classify_lumped and the optimum test; the per-state
-    # loop over both is the oracle
-    for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
-        for w in (-n - 1, -n, -n + 1, -2, -1, 0, 1, 2, n - 1, n, n + 1):
-            ref = np.full(4 * n, -1)
+    # the independent oracles classify one full state per lumped state, with
+    # bits c, then k ones, then zeros: code 0 exactly at the optima, codes
+    # above 0 exactly at the absorbing states that are not optima
+    kinds = (tl.RLS, tl.ONE_PLUS_ONE_EA) if n <= RLS_ORACLE_MAX_N else (tl.ONE_PLUS_ONE_EA,)
+    for kind in kinds:
+        for w in (-n - 1, -n, -n + 1, -2, -1, 0, 1, 2, n - 1, n, n + 1, -2**31, 2**31):
+            cls = tl.markov.state_classes(kind, w, n)
             for idx in range(4 * n):
                 pc, k = divmod(idx, n)
                 p, c = divmod(pc, 2)
-                if _is_optimum_parts(w, p, c + k, n):
-                    ref[idx] = 0
-                elif (ev := classify_lumped(kind.name, w, n, p, c, k)) is not None:
-                    ref[idx] = tl.CLASS_NAMES.index(ev.value)
-            assert np.array_equal(tl.markov.state_classes(kind, w, n), ref), (kind.name, n, w)
+                s = tl.TLState(p, np.array([c] + [1] * k + [0] * (n - 1 - k), dtype=np.uint8))
+                optimal = tl.is_global_optimum(w, s)
+                assert (cls[idx] == 0) == optimal, (kind.name, n, w, idx)
+                absorbing = tl.is_absorbing_oracle(kind, w, s) and not optimal
+                assert (cls[idx] > 0) == absorbing, (kind.name, n, w, idx)
 
 
 class TestOffspringTableReuse:
@@ -215,7 +216,7 @@ def test_binomial_pmf_exact_small():
 
 def test_initial_distribution_matches_uniform_law():
     n = 9
-    pi = tl.initial_distribution(n)
+    pi = tl.markov.initial_distribution(n)
     assert abs(pi.sum() - 1) < 1e-12
     for pc in range(4):
         block = pi[pc * n:(pc + 1) * n]
@@ -227,7 +228,7 @@ def test_initial_distribution_matches_uniform_law():
 @pytest.mark.parametrize("n", [500, 2000, 10**4])
 def test_initial_distribution_has_unit_mass(n):
     # unnormalised, the log-factorial pmf misses 1 by up to 5.1e-12 here
-    assert abs(tl.initial_distribution(n).sum() - 1) <= 1e-15
+    assert abs(tl.markov.initial_distribution(n).sum() - 1) <= 1e-15
 
 
 class TestAbsorption:
@@ -538,7 +539,7 @@ class TestRefusals:
     def test_chain_needs_two_bits(self, n, capsys):
         calls = [lambda: tl.build_transition_matrix(tl.RLS, 2, n),
                  lambda: tl.markov.state_classes(tl.RLS, 2, n),
-                 lambda: tl.initial_distribution(n),
+                 lambda: tl.markov.initial_distribution(n),
                  lambda: tl.absorption_probabilities(tl.RLS, 2, n),
                  lambda: tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, 2, n),
                  lambda: tl.brute_force_absorption(tl.RLS, 2, n),

@@ -3,7 +3,7 @@ import pytest
 
 import tlonemax as tl
 from tlonemax.core import TLState
-from tlonemax.stagnation import classify_lumped
+from tlonemax.stagnation import lumped_index
 
 
 def bits_of(value, n):
@@ -117,13 +117,16 @@ def test_soundness_and_completeness_sweep():
                             assert ev is not None
 
 
-def test_classify_lumped_matches_classify():
+def test_classify_matches_class_table():
+    # classify on a full state reads the same class as the exact chain's
+    # table at its lumped index
     rng = np.random.default_rng(0)
     for _ in range(2000):
         n = int(rng.integers(2, 12))
         s = tl.random_init(n, rng)
         w = int(rng.integers(-15, 16))
+        i = lumped_index(s.prev_first, int(s.current[0]), int(s.current[1:].sum()), n)
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
-            lumped = classify_lumped(kind.name, w, n, s.prev_first,
-                                     int(s.current[0]), int(s.current[1:].sum()))
-            assert lumped is tl.classify(kind, w, s)
+            code = tl.markov.state_classes(kind, w, n)[i]
+            expected = tl.StagnationEvent(tl.CLASS_NAMES[code]) if code > 0 else None
+            assert tl.classify(kind, w, s) is expected, (kind.name, n, w, i)
