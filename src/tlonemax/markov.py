@@ -74,24 +74,46 @@ def _require_single_parent(kind, n: int):
     check_length(n)
 
 
-@functools.lru_cache(maxsize=2)
-def _offspring_table(kind, n: int):
-    """(lo, same, flip): same[k, j] (flip[k, j]) is the probability that a
-    parent with k tail ones has an offspring that keeps (flips) its first bit
-    and has k' = k - lo + j tail ones (0 where k' is out of range).  One-bit
-    mutation flips one of the n bits.  Bit-wise mutation flips the first bit
-    with probability 1/n, and the tail gains Bin(n-1-k, 1/n) up-flips minus
-    Bin(k, 1/n) down-flips, each cut at D = 1 + the last index where
-    Bin(n-1, 1/n) is nonzero in double precision: at a fixed count the pmf
-    does not decrease in m <= n-1, so every later term is exactly 0 anyway.
+#: Bytes of offspring tables kept for reuse.  The most recent table always
+#: stays, so a sweep at one large n builds its table once; older tables stay,
+#: least recently used dropped first, while all of them fit together in this
+#: budget.  It holds every table that the reproduce presets read.
+_TABLE_BYTES = 64 << 20
+_tables: dict = {}  # (kind name, n) -> table, least recently used first
 
-    The table depends on (kind, n) alone, so the last two are cached, as
-    read-only arrays: 16 n (2D - 1) bytes for a bit-wise table."""
+
+def _offspring_table(kind, n: int):
+    """The offspring table of (kind, n), from the cache (see _TABLE_BYTES)
+    or built (see _build_offspring_table)."""
+    key = (kind.name, n)
+    table = _tables.pop(key, None)
+    _tables[key] = table = _build_offspring_table(kind, n) if table is None else table
+    total = sum(tail.nbytes for _, tail, _ in _tables.values())
+    for old in list(_tables)[:-1]:
+        if total <= _TABLE_BYTES:
+            break
+        total -= _tables.pop(old)[1].nbytes
+    return table
+
+
+def _build_offspring_table(kind, n: int):
+    """(lo, tail, scale): a parent with k tail ones has an offspring that
+    keeps (flips) its first bit and has k' = k - lo + j tail ones with
+    probability tail[k, j] * scale[0, j] (tail[k, j] * scale[1, j]), 0 where
+    k' is out of range.  One-bit mutation flips one of the n bits: tail is
+    (k, 1, n - 1 - k) / n and scale picks the first bit's 1/n for a flip.
+    Bit-wise mutation flips the first bit with probability 1/n, so scale is
+    1 - 1/n and 1/n in every column, and the tail gains Bin(n-1-k, 1/n)
+    up-flips minus Bin(k, 1/n) down-flips, each cut at D = 1 + the last
+    index where Bin(n-1, 1/n) is nonzero in double precision: at a fixed
+    count the pmf does not decrease in m <= n-1, so every later term is
+    exactly 0 anyway.
+
+    The arrays are read-only; a bit-wise tail takes 8 n (2D - 1) bytes."""
     k = np.arange(n)[:, None]
     if kind.name == "rls":
-        lo = 1
-        same = np.hstack([k / n, np.zeros((n, 1)), (n - 1 - k) / n])
-        flip = np.tile([0.0, 1.0 / n, 0.0], (n, 1))
+        lo, scale = 1, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        tail = np.hstack([k / n, np.full((n, 1), 1.0 / n), (n - 1 - k) / n])
     else:
         inv_n = 1.0 / n
         D = 1 + int(np.flatnonzero(binomial_pmf(n - 1, inv_n))[-1])
@@ -100,18 +122,17 @@ def _offspring_table(kind, n: int):
         # k' - k = u - d: sum over d of P(d down-flips) * P(u = k' - k + d up-flips)
         tail = np.einsum("kjd,kd->kj", np.lib.stride_tricks.sliding_window_view(up, D, axis=1),
                          np.exp(_binomial_logpmf(k, np.arange(D), inv_n)))
-        del up
-        # same is tail scaled in place, so at most two n x (2D - 1) arrays live
-        lo, flip = D - 1, inv_n * tail
-        same = np.multiply(tail, 1.0 - inv_n, out=tail)
-    same.flags.writeable = flip.flags.writeable = False
-    return lo, same, flip
+        lo, scale = D - 1, np.repeat([[1.0 - inv_n], [inv_n]], 2 * D - 1, axis=1)
+    tail.flags.writeable = scale.flags.writeable = False
+    return lo, tail, scale
 
 
 def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
     """Pieces (vals, cols, counts) of rows moving to cols[i, j] with
     accepted mass vals[i, j] and keeping their rejected mass on states[i],
-    divided by their sums (float dust costs accuracy); zeros are dropped."""
+    divided by their sums (float dust costs accuracy); zeros are dropped.
+    The brute-force chain's selection step; lumped rows have their own in
+    _lumped_row_builder."""
     cols = np.broadcast_to(cols, vals.shape)
     own = cols == states[:, None]
     has_own = own.any(axis=1)
@@ -150,33 +171,54 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
     """Lumped rows, built per call for the states asked, so no solve stores
     the whole chain.  Offspring (c', k') of state (p, c, k) is accepted iff
     c' + k' + w * c >= c + k + w * p, giving (c, c', k'): the columns
-    j >= lo + c - c' + w * (p - c) of table row k; rejected mass stays.  A
-    row's entries and their order do not depend on which other states are
-    asked for with it.  The table is fetched once, here."""
+    j >= lo + c - c' + w * (p - c) of table row k; rejected mass stays.
+
+    The rows of one (p, c) fill one slab: the accepted c' = c window, the
+    accepted c' = 1 - c window, then the rejected mass.  The state itself is
+    a column only when p = c, as column 0 (k' = k); there it takes the
+    rejected mass and the last column is 0.  Rows are divided by their sums
+    (float dust costs accuracy), placed in the order asked, zero-padded to
+    one width, and their zeros dropped.  Slab column j of state (p, c, k) is
+    state base[2p + c, j] + k.  A row's entries and their order do not
+    depend on which other states are asked for with it.  The table is
+    fetched once, here."""
     _require_single_parent(kind, n)
     w = check_weight(w)
-    lo, same, flip = _offspring_table(kind, n)
-    width = same.shape[1]
-    # (p, c) and the first accepted table column (t) for c' = c and (u) for c' = 1 - c
-    windows = [(p, c, *(min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c)))
-               for p, c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    lo, tail, scale = _offspring_table(kind, n)
+    width = tail.shape[1]
+    blocks = []
+    for p, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        # the first accepted table column for c' = c (t) and for c' = 1 - c (u)
+        t, u = (min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c))
+        blocks.append((p == c, t, u, np.concatenate([3 * c * n - lo + np.arange(t, width),
+                                                     (c + 1) * n - lo + np.arange(u, width),
+                                                     [(2 * p + c) * n]])))
+    base = np.zeros((4, max(b.size for *_, b in blocks)), dtype=np.int32)
+    for code, (*_, b) in enumerate(blocks):
+        base[code, :b.size] = b
 
     def rows(states: np.ndarray) -> tuple:
         pc, k = np.divmod(states, n)
-        picks, blocks = [], []
-        for p, c, t, u in windows:
-            picks.append(pick := np.flatnonzero(pc == 2 * p + c))
-            kk = k[pick]
-            cols = [(2 * c + cp) * n + kk[:, None] - lo + np.arange(v, width)
-                    for cp, v in ((c, t), (1 - c, u))]
-            blocks.append(_select_rows(np.hstack([same[kk, t:], flip[kk, u:]]), np.hstack(cols),
-                                       same[kk, :t].sum(axis=1) + flip[kk, :u].sum(axis=1),
-                                       lumped_index(p, c, kk, n)))
-        # the blocks hold the rows in (p, c) order; put them in the order asked
-        return _take_rows(*_stack(blocks), np.argsort(np.concatenate(picks)))
+        padded = np.zeros((states.size, base.shape[1]))
+        for code, (own, t, u, b) in enumerate(blocks):
+            pick = np.flatnonzero(pc == code)
+            law, slab = tail[k[pick]], np.empty((pick.size, b.size))
+            np.multiply(law[:, t:], scale[0, t:], out=slab[:, :width - t])
+            np.multiply(law[:, u:], scale[1, u:], out=slab[:, width - t:-1])
+            rejected = ((law[:, :t] * scale[0, :t]).sum(axis=1)
+                        + (law[:, :u] * scale[1, :u]).sum(axis=1))
+            if own:
+                slab[:, 0] += rejected
+                slab[:, -1] = 0.0
+            else:
+                slab[:, -1] = rejected
+            slab /= slab.sum(axis=1, keepdims=True)
+            padded[pick, :b.size] = slab
+        keep = padded > 0.0
+        cols = base[pc] + k.astype(np.int32)[:, None]
+        return np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], padded[keep]
 
-    sizes = np.repeat([2 * width - t - u + 1 for _, _, t, u in windows], n)
-    return _RowSource(rows, sizes)
+    return _RowSource(rows, np.repeat([b.size for *_, b in blocks], n))
 
 
 def build_transition_matrix(kind, w: int, n: int) -> np.ndarray:
@@ -364,7 +406,8 @@ def _solve_absorption(P, cls: np.ndarray, fitness: np.ndarray, chain: str, hitti
 
 def _lumped_solution(kind, w: int, n: int, hitting: bool = False):
     """Validated lumped chain solved for absorption: (AbsorptionResult, the
-    last solved column, chain label); see _solve_absorption for ``hitting``."""
+    last solved column, chain label, initial_distribution(n)); see
+    _solve_absorption for ``hitting``."""
     P = _lumped_row_builder(kind, w, n)
     w = check_weight(w)
     chain = f"{kind.name} n={n} w={w}"
@@ -375,7 +418,7 @@ def _lumped_solution(kind, w: int, n: int, hitting: bool = False):
     per = x[:, :len(CLASS_NAMES)]
     pi = initial_distribution(n)
     overall = {name: float(pi @ per[:, c]) for c, name in enumerate(CLASS_NAMES)}
-    return AbsorptionResult(kind, w, n, cls, per, overall), x[:, -1], chain
+    return AbsorptionResult(kind, w, n, cls, per, overall), x[:, -1], chain, pi
 
 
 def absorption_probabilities(kind, w: int, n: int) -> AbsorptionResult:
@@ -451,12 +494,12 @@ def conditional_hitting_time(kind, w: int, n: int) -> HittingTimeResult:
     """First-step analysis in the absorption pass: with h the optimum column,
     y = E[T 1{optimum}] solves (I - Q) y = h, so E[T | optimum] is y / h per
     state and pi y / pi h overall."""
-    absorption, y, chain = _lumped_solution(kind, w, n, True)
+    absorption, y, chain, pi = _lumped_solution(kind, w, n, True)
     h = absorption.per_state[:, 0]
     with np.errstate(over="ignore"):
         times = y / np.where(h > 0.0, h, np.nan)
     if (inf := np.isinf(times)).any():
         raise RuntimeError(f"{chain}: expected generations of state {inf.argmax()} overflow "
                            f"double precision (optimum mass {h[inf.argmax()]:.3g})")
-    overall = float(initial_distribution(n) @ y) / absorption.p_optimum  # pi y / pi h
+    overall = float(pi @ y) / absorption.p_optimum  # pi y / pi h
     return HittingTimeResult(kind, absorption.w, n, times, overall, absorption)

@@ -16,7 +16,8 @@ from scipy.stats import binom
 import tlonemax as tl
 from tlonemax.cli import EXIT_USAGE, main
 from tlonemax.markov import (_binomial_logpmf, _lumped_row_builder, _offspring_table,
-                             _solve_levels, binomial_pmf, lumped_index)
+                             _select_rows, _solve_levels, _stack, _take_rows, binomial_pmf,
+                             lumped_index)
 from tlonemax.stagnation import RLS_ORACLE_MAX_N
 
 
@@ -161,36 +162,101 @@ def test_state_classes_match_per_state_classification(n):
                 assert (cls[idx] > 0) == absorbing, (kind.name, n, w, idx)
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(kind name, n) of every offspring table built, from an empty cache."""
+    built, build = [], tl.markov._build_offspring_table
+
+    def counted(kind, n):
+        built.append((kind.name, n))
+        return build(kind, n)
+
+    monkeypatch.setattr(tl.markov, "_build_offspring_table", counted)
+    monkeypatch.setattr(tl.markov, "_tables", {})
+    return built
+
+
 class TestOffspringTableReuse:
-    def test_built_once_per_kind_and_length(self):
-        n = 50
-        for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
-            _offspring_table.cache_clear()
-            for w in (-n, -1, 2):
-                tl.absorption_probabilities(kind, w, n)
-                tl.conditional_hitting_time(kind, w, n)
-                tl.build_transition_matrix(kind, w, n)
-            info = _offspring_table.cache_info()
-            assert (info.misses, info.hits, info.maxsize) == (1, 8, 2), (kind.name, info)
+    def test_rotation_builds_each_table_once(self, table_builds):
+        pairs = [(tl.RLS, 50), (tl.ONE_PLUS_ONE_EA, 50), (tl.ONE_PLUS_ONE_EA, 80), (tl.RLS, 80)]
+        for _ in range(2):
+            for kind, n in pairs:
+                for w in (-n, -1, 2):
+                    tl.absorption_probabilities(kind, w, n)
+                    tl.conditional_hitting_time(kind, w, n)
+                    tl.build_transition_matrix(kind, w, n)
+        assert table_builds == [(kind.name, n) for kind, n in pairs]
+
+    def test_budget_keeps_the_newest_and_drops_the_least_recent(self, table_builds,
+                                                                monkeypatch):
+        ea = tl.ONE_PLUS_ONE_EA
+        size = {n: _offspring_table(ea, n)[1].nbytes for n in (20, 30, 40)}
+        assert table_builds == [("ea", 20), ("ea", 30), ("ea", 40)]
+        monkeypatch.setattr(tl.markov, "_TABLE_BYTES", size[30] + size[40])
+        tl.markov._tables.clear()
+        for n in (20, 30, 40, 30, 40):  # 20 leaves when 40 arrives; 30 and 40 fit
+            _offspring_table(ea, n)
+        assert table_builds[3:] == [("ea", 20), ("ea", 30), ("ea", 40)]
+        # a table above the budget stays while it is the most recent
+        monkeypatch.setattr(tl.markov, "_TABLE_BYTES", size[40] - 1)
+        for n in (40, 40, 20, 40):
+            _offspring_table(ea, n)
+        assert table_builds[6:] == [("ea", 20), ("ea", 40)]
+        assert list(tl.markov._tables) == [("ea", 40)]
 
     def test_cached_arrays_are_read_only(self):
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
-            _, same, flip = _offspring_table(kind, 30)
-            for table in (same, flip):
+            _, tail, scale = _offspring_table(kind, 30)
+            for table in (tail, scale):
                 with pytest.raises(ValueError, match="read-only"):
                     table[0, 0] = 1.0
 
-    def test_cold_and_warm_results_identical(self):
+    def test_cold_and_warm_results_identical(self, monkeypatch):
         cases = [(tl.RLS, 3, 60), (tl.ONE_PLUS_ONE_EA, -60, 60), (tl.ONE_PLUS_ONE_EA, 2, 60)]
         warm = []
         for kind, w, n in cases:
             tl.absorption_probabilities(kind, w, n)
             warm.append(tl.conditional_hitting_time(kind, w, n))
         for (kind, w, n), hit in zip(cases, warm):
-            _offspring_table.cache_clear()
+            monkeypatch.setattr(tl.markov, "_tables", {})
             cold = tl.conditional_hitting_time(kind, w, n)
             assert np.array_equal(cold.per_state, hit.per_state, equal_nan=True)
             assert np.array_equal(cold.absorption.per_state, hit.absorption.per_state)
+
+
+def _rows_by_generic_selection(kind, w, n, states):
+    """Lumped rows through the brute-force chain's _select_rows, from slabs
+    laid out as (same[k, t:], flip[k, u:]) with same and flip the two scaled
+    offspring tables, stacked per (p, c) and then put in the order asked."""
+    lo, tail, scale = _offspring_table(kind, n)
+    same, flip = tail * scale[0], tail * scale[1]
+    width = tail.shape[1]
+    pc, k = np.divmod(states, n)
+    picks, blocks = [], []
+    for p, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        t, u = (min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c))
+        picks.append(pick := np.flatnonzero(pc == 2 * p + c))
+        kk = k[pick]
+        cols = [(2 * c + cp) * n + kk[:, None] - lo + np.arange(v, width)
+                for cp, v in ((c, t), (1 - c, u))]
+        blocks.append(_select_rows(np.hstack([same[kk, t:], flip[kk, u:]]), np.hstack(cols),
+                                   same[kk, :t].sum(axis=1) + flip[kk, :u].sum(axis=1),
+                                   lumped_index(p, c, kk, n)))
+    return _take_rows(*_stack(blocks), np.argsort(np.concatenate(picks)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
+@pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+def test_lumped_rows_match_generic_selection(kind, n):
+    # the lumped selection step is written for its known windows; it must
+    # give the generic step's rows bit for bit: same entries, order and floats
+    rng = np.random.default_rng(n)
+    for w in (-n - 1, -n, -2, -1, 0, 1, 2, 3, n, n + 1):
+        states = rng.permutation(4 * n)
+        got = _lumped_row_builder(kind, w, n).rows(states)
+        ref = _rows_by_generic_selection(kind, w, n, states)
+        for field, (a, b) in enumerate(zip(got, ref)):
+            assert np.array_equal(a, b), (kind.name, n, w, field)
 
 
 def test_binomial_pmf_exact_small():
@@ -517,21 +583,21 @@ def test_solve_memory_stays_below_the_offspring_table():
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    _, same, flip = _offspring_table(tl.ONE_PLUS_ONE_EA, 1500)
+    tail = _offspring_table(tl.ONE_PLUS_ONE_EA, 1500)[1]
     assert peaks[1500] <= 1.5 * peaks[500], peaks
-    assert peaks[1500] < same.nbytes + flip.nbytes, (peaks, same.nbytes + flip.nbytes)
+    assert peaks[1500] < 2 * tail.nbytes, (peaks, tail.nbytes)
 
 
 def test_table_build_peaks_near_the_table():
-    # up is dropped once tail is made and same is tail scaled in place, so a
-    # cold build holds little beside the two arrays it returns
+    # a cold build holds the up-flip window, the down-flip pmf and tail, and
+    # nothing else of the table's size
     tracemalloc.start()
     try:
-        _, same, flip = _offspring_table.__wrapped__(tl.ONE_PLUS_ONE_EA, 1000)
+        tail = tl.markov._build_offspring_table(tl.ONE_PLUS_ONE_EA, 1000)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * (same.nbytes + flip.nbytes), (peak, same.nbytes + flip.nbytes)
+    assert peak < 3.5 * tail.nbytes, (peak, tail.nbytes)
 
 
 class TestRefusals:
