@@ -2,8 +2,10 @@
 
 ``step`` is the named reference for one single-parent generation.  RLS and
 (1+1) EA trials run on one batch engine, ``_run_batch``, which steps many
-trials at once, each on its own generator, and skips rejected generations
-with array searches; ``run_trial`` hands it one generator, and
+trials at once, each on its own generator: one step of array operations
+applies every generation of each trial's window up to the first that flips
+a position an earlier accepted one flipped, up to an accepted bit-0 flip,
+or up to the trial's end.  ``run_trial`` hands it one generator, and
 ``montecarlo`` hands it blocks of consecutive trials.  For RLS a trial is
 the same as iterating ``step``.  For the (1+1) EA it reads every mask off
 one flip field of geometric gaps (``_flip_cells``): the same mutation law
@@ -34,7 +36,7 @@ import numpy as np
 
 from .core import (TLState, _init_bits, _init_words, _integer, check_count, check_length,
                    check_seed, check_weight, fitness, top_fitness)
-from .stagnation import CODE_EVENTS, StagnationEvent, class_codes, lumped_index
+from .stagnation import CODE_EVENTS, StagnationEvent, class_codes
 
 
 @dataclass(frozen=True)
@@ -161,16 +163,16 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
 #: Most random numbers one draw call makes: the rows of a drawn block (RLS
 #: draws one index per row, the (mu+1) EA one parent index), the geometric
 #: gaps of one flip-field chunk and the words of one tie-break block; also
-#: the most rows a window of ``_run_batch`` searches.  Every trial of a
+#: the most rows a window of ``_run_batch`` reads.  Every trial of a
 #: batch holds up to 1.5 blocks of drawn rows: with a cap of 2**12, the
 #: runtime-scaling trials at n = 256 and 1024, w = 1, 30 per kind, peaked
 #: at 9.6 MB of arrays instead of 1.5 MB, and ran no faster.
 _BLOCK_DRAWS = 1 << 9
 
-#: Rows of the first drawn block and of the first searched window.  Blocks
-#: double up to the cap, so short trials draw little past their end; the
-#: window doubles while nothing changes and restarts after each change, so a
-#: change costs little array work.
+#: Rows of the first drawn block and of the first window.  Blocks double up
+#: to the cap, so short trials draw little past their end; a window is twice
+#: the generations the last step applied, so windows that conflicts cut
+#: early stay short.
 _FIRST_ROWS = 16
 
 
@@ -246,34 +248,41 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
     ``observer`` takes a single generator.
 
     A trial's state (prev, x) is kept as x1 = x[0], its ones-count and its
-    row of gains 1 - 2 x_j, followed by a 0.  An offspring flipping the
-    positions F gains delta = sum over F of (1 - 2 x_j) ones and is accepted
-    iff delta >= w (prev - x1).  Each step searches a window of every
-    trial's next drawn generations for the first one that changes its
-    state, all trials at once: the generations of all windows lie end to
-    end, and the drawn flips of all trials lie in one table of gain
-    indices, one column per generation, padded with the index of the
-    trial's 0.  So a step costs a fixed number of array operations, however
-    many trials are in the batch.  The generations before a change were
-    rejected or, for an empty EA mask with prev == x1, accepted without any
-    change; they only advance g (and t), and are handed to the observer, if
-    any, one by one.  A window doubles while nothing changes, up to
-    ``_BLOCK_DRAWS`` rows, and restarts at ``_FIRST_ROWS`` after a change.
+    row of gains 1 - 2 x_j.  An offspring flipping the positions F gains
+    delta = sum over F of (1 - 2 x_j) ones and is accepted iff
+    delta >= w (prev - x1).  The drawn generations of all trials lie end to
+    end in one table, and their flips, as indices into the rows of gains,
+    in one array beside it.  Each step reads a window of every trial's next
+    drawn generations, all trials at once, so it costs a fixed number of
+    array operations, however many trials are in the batch.
+
+    A step applies every generation of a trial's window up to its cut, the
+    first of: a generation that flips a position flipped by an earlier
+    accepted generation of the window; the generation after an accepted one
+    that flips bit 0; the generation after the first accepted one whose
+    lumped state ends the trial.  Before the cut every delta read off the
+    window's gains is exact, and the threshold is w (prev - x1) up to the
+    first acceptance and 0 after it, since that acceptance sets prev to x1
+    and x1 stays.  So one scatter-min finds every position's first accepted
+    generation, running sums of the accepted deltas give the ``class_codes``
+    of every accepted state, and one scatter writes all applied flips: they
+    flip distinct positions.  The observer, if any, is handed the applied
+    generations one by one.  A trial's next window is twice the generations
+    its step applied, at most ``_BLOCK_DRAWS``: a window cut early by a
+    conflict is followed by a short one.
 
     When a trial has read all its drawn generations, every trial with less
     than half its next block left draws that block; blocks double from
     ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS`` rows.  Each generator is read in
     order whatever the block sizes.  A trial leaves the batch at the
-    optimum or at a proven stagnation event, read off one list of the
-    ``class_codes`` of all 4n lumped states, or at the budget.  Every
+    optimum or at a proven stagnation event, or at the budget.  Every
     handed-out bitstring is a new array, never written again.
     """
-    m, width = len(rngs), n + 1
+    m = len(rngs)
     prevs, starts = _init_bits(np.concatenate([_init_words(n, 1, rng) for rng in rngs]), n)
     draws = [_flip_cells(kind_name, n, rng) for rng in rngs]
     outcomes = [None] * m
-    gain = np.zeros((m, width), dtype=np.int8)
-    gain[:, :n] = 1 - 2 * starts.view(np.int8)
+    gain = 1 - 2 * starts.view(np.int8)
     flat = gain.reshape(-1)
     # one row per field, one column per trial in the batch: its generator
     # and row of gains, prev, x1, ones, t, g, its unread drawn generations
@@ -284,36 +293,39 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
     trials[4] = 1
     trials[8] = _FIRST_ROWS
     trials[9] = min(_FIRST_ROWS, _BLOCK_DRAWS)
-    table = np.empty((1, 0), dtype=np.min_scalar_type(m * width))
-    # the class code of every lumped state, by lumped_index
-    lumped = np.arange(4 * n)
-    codes = class_codes(kind_name, w, n, lumped // (2 * n), lumped // n % 2, lumped % n).tolist()
+    # the drawn unread flips, as gain indices: the sizes[c] flips of column
+    # c are flips[ptr[c]:ptr[c + 1]]
+    flips, sizes, ptr = (np.zeros(k, dtype=np.int64) for k in (0, 0, 1))
+    # the class code of the lumped state (p, p ^ f, after - (p ^ f)) by the
+    # key 2 (n + 1) p + (n + 1) f + after: the state that an accepted
+    # generation leaves, from first bit p, flipping bit 0 iff f = 1, with
+    # after ones
+    key = np.arange(4 * n + 4)
+    p, f, after = key // (2 * n + 2), key // (n + 1) % 2, key % (n + 1)
+    codes = class_codes(kind_name, w, n, p, p ^ f, after - (p ^ f))
+    # by gain index, the first accepted generation of a step to flip it
+    never = np.iinfo(np.int64).max
+    first_flip = np.full(m * n, never)
 
     def state(s, prev, t, g):
-        return TLState(prev, (gain[s, :n] < 0).astype(np.uint8), t, g)
+        return TLState(prev, (gain[s] < 0).astype(np.uint8), t, g)
 
-    def settle(positions):
-        """Class codes of the trials at ``positions``, whose state was just
-        initialised or changed; returns those that end."""
-        ended = []
-        for p, (s, prev, x1, ones, t, g) in zip(positions.tolist(),
-                                                 trials[:6, positions].T.tolist()):
-            code = codes[lumped_index(prev, x1, ones - x1, n)]
-            if observer is None and code < 0:
-                continue
-            st = state(s, prev, t, g)
-            event = CODE_EVENTS[code]
-            if observer is not None:
-                observer(g, st, True, event)
-            if code >= 0:
-                status = TrialStatus.OPTIMUM if code == 0 else TrialStatus.STAGNATED
-                outcomes[s] = TrialOutcome(status, g, event, st)
-                ended.append(p)
-        return ended
+    def finish(positions, ending):
+        """Record the outcomes of the trials at ``positions``, whose states
+        have the class codes ``ending``."""
+        for s, prev, t, g, code in zip(*trials[[0, 1, 4, 5]][:, positions].tolist(),
+                                       ending.tolist()):
+            status = TrialStatus.OPTIMUM if code == 0 else TrialStatus.STAGNATED
+            outcomes[s] = TrialOutcome(status, g, CODE_EVENTS[code], state(s, prev, t, g))
 
-    ended = settle(np.arange(m))
+    prev, x1, ones = trials[1:4]
+    code = codes[(2 * n + 2) * prev + (n + 1) * (prev ^ x1) + ones]
+    if observer is not None:
+        observer(0, state(0, int(prev[0]), 1, 0), True, CODE_EVENTS[code[0]])
+    ended = (code >= 0).nonzero()[0]
+    finish(ended, code[ended])
     while True:
-        if ended:
+        if ended.size:
             keep = np.ones(trials.shape[1], dtype=bool)
             keep[ended] = False
             trials = trials[:, keep]
@@ -329,72 +341,105 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
             end[:] = size.cumsum()
             start = end - size
             drawing = k.nonzero()[0]
-            fresh = [draws[s](kk) + (e - kk) * n for s, kk, e in
-                     zip(slot[drawing].tolist(), k[drawing].tolist(), end[drawing].tolist())]
-            counts = [c.size for c in fresh]
-            rows, cols = np.divmod(np.concatenate(fresh), n)
+            fresh = [draws[s](kk) for s, kk in zip(slot[drawing].tolist(), k[drawing].tolist())]
+            counts = np.array([c.size for c in fresh])
+            columns, cells = np.divmod(np.concatenate(fresh), n)
             del fresh
-            cols += (slot[drawing] * width).repeat(counts)
-            # the place of each flip in its generation's column
-            place = rows.searchsorted(rows)
-            np.subtract(np.arange(place.size), place, out=place)
-            old, table = table, np.empty((max(table.shape[0], int(place.max(initial=0)) + 1),
-                                          end[-1]), table.dtype)
-            table[:] = (slot * width + n).astype(table.dtype).repeat(size)
-            table[:old.shape[0], _ranges(start, left)[0]] = old.take(_ranges(row, left)[0], axis=1)
-            table[place, rows] = cols
+            columns += (end - k)[drawing].repeat(counts)
+            cells += (slot[drawing] * n).repeat(counts)
+            # each trial's unread flips move to the front of its range, its
+            # drawn ones follow
+            per = np.bincount(columns, minlength=end[-1])
+            per[_ranges(start, left)[0]] = sizes.take(_ranges(row, left)[0])
+            lo, hi = ptr.take(row), ptr.take(row + left)
+            sizes, ptr = per, np.zeros(end[-1] + 1, dtype=np.int64)
+            sizes.cumsum(out=ptr[1:])
+            old, flips = flips, np.empty(ptr[-1], dtype=np.int64)
+            head = ptr.take(start)
+            flips[_ranges(head, hi - lo)[0]] = old.take(_ranges(lo, hi - lo)[0])
+            flips[_ranges((head + hi - lo)[drawing], counts)[0]] = cells
             row[:] = start
             left = size
 
-        # the first state change in every trial's window
+        # every trial's window, end to end, and its flips, generation by
+        # generation, with the acceptances as if nothing cut the window
         length = np.minimum(window, left)
         ends = length.cumsum()
         offsets = ends - length
-        at = np.arange(ends[-1])
-        cells = table.take(at + (row - offsets).repeat(length), axis=1)
-        gains = flat.take(cells)
-        delta = gains.sum(axis=0)
-        accepted = changes = delta >= (w * (prev - x1)).repeat(length)
-        if kind_name == "ea":
-            # an empty mask (first gain 0) is accepted and, with prev == x1,
-            # changes nothing
-            changes = accepted & ((gains[0] != 0) | (prev != x1).repeat(length))
-        first = np.minimum.reduceat(np.where(changes, at, ends[-1]), offsets)
-        found = first < ends
-        j = np.minimum(first, ends) - offsets
-        if observer is not None:
-            s, pv, tt, gg = trials[[0, 1, 4, 5], 0].tolist()
-            x = (gain[s, :n] < 0).astype(np.uint8)
-            for a in accepted[:j[0]].tolist():
-                gg += 1
-                tt += a
-                observer(gg, TLState(pv, x, tt, gg), a, None)
-        if kind_name == "ea":
-            skipped = np.zeros(ends[-1] + 1, dtype=np.int64)
-            accepted.cumsum(out=skipped[1:])
-            t += skipped.take(offsets + j) - skipped.take(offsets)
-        j += found
-        trials[5:7] += j  # g and row
-        t += found
-        window <<= 1
-        np.minimum(window, _BLOCK_DRAWS, out=window)
+        total = int(ends[-1])
+        at = np.arange(total)
+        count = sizes.take(at + (row - offsets).repeat(length))
+        lo, hi = ptr.take(row), ptr.take(row + length)
+        pos = flips.take(_ranges(lo, hi - lo)[0])
+        col = at.repeat(count)
+        gains = flat.take(pos)
+        delta = np.bincount(col, gains, total).astype(np.int64)
+        accepted = delta >= 0
+        if w and (prev != x1).any():
+            # up to a trial's first acceptance the threshold is w (prev - x1)
+            lead = delta >= (w * (prev - x1)).repeat(length)
+            first = np.minimum.reduceat(np.where(lead, at, total), offsets)
+            accepted = np.where(at > first.repeat(length), accepted, lead)
 
-        # apply the changes
-        f = found.nonzero()[0]
-        if f.size:
-            window[f] = _FIRST_ROWS
-            hit = first[f]
-            flat[cells.take(hit, axis=1)] = -gains.take(hit, axis=1)
-            ones[f] += delta.take(hit)
-            prev[f] = x1[f]
-            x1[f] = flat.take(slot[f] * width) < 0
-        ended = settle(f)
+        # the cut: the first generation to flip a position an earlier
+        # accepted one flipped, or the one after an accepted generation that
+        # flips bit 0 or ends the trial
+        took = accepted.take(col)
+        sources = pos[took]
+        # the values have the indices' shape: numpy 2.4's ufunc.at reads
+        # stray memory when it broadcasts them
+        np.minimum.at(first_flip, sources, col[took])
+        clash = col[first_flip.take(pos) < col]
+        first_flip[sources] = never
+        flips0 = np.zeros(total, dtype=bool)
+        flips0[col[pos % n == 0]] = True
+        gained = np.where(accepted, delta, 0)
+        running = gained.cumsum()
+        before = running.take(offsets) - gained.take(offsets)
+        code = codes.take(((2 * n + 2) * x1 + ones - before).repeat(length) + running
+                          + (n + 1) * flips0, mode="clip")
+        stop = np.where(accepted & (flips0 | (code >= 0)), at + 1, total)
+        stop[clash] = clash
+        cut = np.minimum(np.minimum.reduceat(stop, offsets), ends)
+        done = cut - offsets
+        if observer is not None:
+            pv, tt, gg = trials[[1, 4, 5], 0].tolist()
+            x = (gain[0] < 0).astype(np.uint8)
+            read = 0
+            for a, c, flipped in zip(accepted[:done[0]].tolist(), code[:done[0]].tolist(),
+                                     count[:done[0]].tolist()):
+                gg += 1
+                if a:
+                    tt += 1
+                    pv = int(x[0])
+                    if flipped:
+                        x = x.copy()
+                        x[pos[read:read + flipped]] ^= 1
+                read += flipped
+                observer(gg, TLState(pv, x, tt, gg), a, CODE_EVENTS[c] if a else None)
+
+        # apply every accepted generation before the cut in one scatter:
+        # they flip distinct positions
+        applied = accepted & (at < cut.repeat(length))
+        put = applied.take(col)
+        flat[pos[put]] = -gains[put]
+        moved = np.add.reduceat(applied, offsets, dtype=np.int64)
+        last = cut - 1
+        t += moved
+        trials[5:7] += done  # g and row
+        ones += running.take(last) - before
+        np.copyto(prev, x1, where=moved > 0)
+        x1[:] = gain[slot, 0] < 0
+        np.minimum(2 * done, _BLOCK_DRAWS, out=window)
+        code = code.take(last)
+        ended = (accepted.take(last) & (code >= 0)).nonzero()[0]
+        if ended.size:
+            finish(ended, code[ended])
         if budget in g:
-            over = (g == budget).nonzero()[0]
-            for p, (s, pv, _, _, tt, gg) in zip(over.tolist(), trials[:6, over].T.tolist()):
-                if outcomes[s] is None:
-                    outcomes[s] = TrialOutcome(TrialStatus.BUDGET, gg, None, state(s, pv, tt, gg))
-                    ended.append(p)
+            over = np.setdiff1d((g == budget).nonzero()[0], ended)
+            for s, pv, tt, gg in zip(*trials[[0, 1, 4, 5]][:, over].tolist()):
+                outcomes[s] = TrialOutcome(TrialStatus.BUDGET, gg, None, state(s, pv, tt, gg))
+            ended = np.union1d(ended, over)
 
 
 def _mu_plus_one_generation(w, prevs, currents, fits, parent, flips, tie) -> bool:

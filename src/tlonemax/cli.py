@@ -16,6 +16,7 @@ algo, n, w, <quantity>, low, high, ok.  CSV schemas are fixed:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -288,7 +289,10 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="tlonemax",
         description="Time-linkage OneMax laboratory: simulation and exact analysis")

@@ -81,6 +81,11 @@ def _require_single_parent(kind, n: int):
 _TABLE_BYTES = 64 << 20
 _tables: dict = {}  # (kind name, n) -> table, least recently used first
 
+#: Entries of the padded up-flip pmf that a bit-wise table build holds at
+#: once: it runs over blocks of about this many / (3D) rows of k, so besides
+#: the table it holds about 4/3 this many doubles.
+_TABLE_BLOCK = 1 << 18
+
 
 def _offspring_table(kind, n: int):
     """The offspring table of (kind, n), from the cache (see _TABLE_BYTES)
@@ -107,7 +112,8 @@ def _build_offspring_table(kind, n: int):
     up-flips minus Bin(k, 1/n) down-flips, each cut at D = 1 + the last
     index where Bin(n-1, 1/n) is nonzero in double precision: at a fixed
     count the pmf does not decrease in m <= n-1, so every later term is
-    exactly 0 anyway.
+    exactly 0 anyway.  The bit-wise tail is built over blocks of rows of k
+    (``_TABLE_BLOCK``).
 
     The arrays are read-only; a bit-wise tail takes 8 n (2D - 1) bytes."""
     k = np.arange(n)[:, None]
@@ -117,11 +123,15 @@ def _build_offspring_table(kind, n: int):
     else:
         inv_n = 1.0 / n
         D = 1 + int(np.flatnonzero(binomial_pmf(n - 1, inv_n))[-1])
-        up = np.zeros((n, 3 * D - 2))
-        up[:, D - 1:2 * D - 1] = np.exp(_binomial_logpmf(n - 1 - k, np.arange(D), inv_n))
-        # k' - k = u - d: sum over d of P(d down-flips) * P(u = k' - k + d up-flips)
-        tail = np.einsum("kjd,kd->kj", np.lib.stride_tricks.sliding_window_view(up, D, axis=1),
-                         np.exp(_binomial_logpmf(k, np.arange(D), inv_n)))
+        tail = np.empty((n, 2 * D - 1))
+        rows = max(1, _TABLE_BLOCK // (3 * D))
+        for a in range(0, n, rows):
+            ks = k[a:a + rows]
+            up = np.zeros((ks.shape[0], 3 * D - 2))
+            up[:, D - 1:2 * D - 1] = np.exp(_binomial_logpmf(n - 1 - ks, np.arange(D), inv_n))
+            # k' - k = u - d: sum over d of P(d down-flips) * P(u = k' - k + d up-flips)
+            np.einsum("kjd,kd->kj", np.lib.stride_tricks.sliding_window_view(up, D, axis=1),
+                      np.exp(_binomial_logpmf(ks, np.arange(D), inv_n)), out=tail[a:a + rows])
         lo, scale = D - 1, np.repeat([[1.0 - inv_n], [inv_n]], 2 * D - 1, axis=1)
     tail.flags.writeable = scale.flags.writeable = False
     return lo, tail, scale

@@ -310,8 +310,8 @@ class TestSingleParentEngine:
             ref = reference_trial(kind, w, n, 20000, seed)
             assert outcome_key(out) == outcome_key(ref), (n, w, seed)
 
-    @pytest.mark.parametrize("first_rows", [1, 3])
-    @pytest.mark.parametrize("block_draws", [1, 3])
+    @pytest.mark.parametrize("block_draws, first_rows",
+                             [(1, 1), (1, 3), (3, 1), (3, 3), (512, 512)])
     @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA, tl.mu_plus_one_ea(1),
                                       tl.mu_plus_one_ea(4), tl.mu_plus_one_ea(30)],
                              ids=["rls", "ea", "mu1", "mu4", "mu30"])
@@ -319,7 +319,9 @@ class TestSingleParentEngine:
                                             monkeypatch):
         # one-row blocks, one-gap chunks, one-word tie-break blocks and
         # one-row windows give the same outcomes and observer calls as the
-        # default schedule
+        # default schedule; so do 512-row first blocks and windows, which
+        # hold many changes, conflicts and bit-0 flips (nearly every window
+        # conflicts at n = 2 and 3)
         key, recorder = ((outcome_key, Recorder) if kind.single_parent
                          else (population_key, PopulationRecorder))
 

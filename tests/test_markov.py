@@ -589,15 +589,26 @@ def test_solve_memory_stays_below_the_offspring_table():
 
 
 def test_table_build_peaks_near_the_table():
-    # a cold build holds the up-flip window, the down-flip pmf and tail, and
-    # nothing else of the table's size
+    # a cold build holds the tail and one block of rows of the up-flip
+    # window and the down-flip pmf, with their temporaries; at n = 1000 a
+    # block is half the rows
     tracemalloc.start()
     try:
         tail = tl.markov._build_offspring_table(tl.ONE_PLUS_ONE_EA, 1000)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * tail.nbytes, (peak, tail.nbytes)
+    assert peak < 3.0 * tail.nbytes, (peak, tail.nbytes)
+
+
+def test_table_blocks_do_not_change_the_table(monkeypatch):
+    # the default blocks (499 rows at n = 1000) against blocks of 7 rows,
+    # of 1 row and of all 1000 rows
+    one = tl.markov._build_offspring_table(tl.ONE_PLUS_ONE_EA, 1000)[1]
+    D = (one.shape[1] + 1) // 2
+    for rows in (7, 1, 1000):
+        monkeypatch.setattr(tl.markov, "_TABLE_BLOCK", rows * 3 * D)
+        assert np.array_equal(tl.markov._build_offspring_table(tl.ONE_PLUS_ONE_EA, 1000)[1], one)
 
 
 class TestRefusals:

@@ -209,16 +209,18 @@ class TestBatchedTrials:
                                           master_seed=31)
                 assert montecarlo._run_trials(cfg) == one_by_one(cfg), (n, w, budget)
 
-    @pytest.mark.parametrize("first_rows", [1, 3])
-    @pytest.mark.parametrize("block_draws", [1, 3])
+    @pytest.mark.parametrize("block_draws, first_rows",
+                             [(1, 1), (1, 3), (3, 1), (3, 3), (512, 512)])
     @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
     def test_block_schedule_does_not_matter(self, kind, block_draws, first_rows,
                                             monkeypatch):
-        # one-row blocks and windows give the same trials as the default
-        # schedule
+        # one-row blocks and windows, and 512-row first blocks and windows
+        # that hold many changes, conflicts and bit-0 flips, give the same
+        # trials as the default schedule
         cfgs = [tl.ExperimentConfig(kind=kind, n=n, w=w, trials=40, budget=budget,
                                     master_seed=8)
-                for n, w, budget in ((3, -3, 7), (10, 0, 400), (20, 2, 400), (33, -1, 600))]
+                for n, w, budget in ((2, 1, 400), (3, -3, 7), (10, 0, 400), (20, 2, 400),
+                                     (33, -1, 600))]
         want = [montecarlo._run_trials(cfg) for cfg in cfgs]
         monkeypatch.setattr(algorithms, "_FIRST_ROWS", first_rows)
         monkeypatch.setattr(algorithms, "_BLOCK_DRAWS", block_draws)
