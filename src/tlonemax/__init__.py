@@ -15,8 +15,8 @@ from .algorithms import (ONE_PLUS_ONE_EA, RLS, AlgorithmKind, PopulationMember,
 from .core import TLState, as_bits, fitness, is_global_optimum, random_init
 # build_transition_matrix stays a package attribute outside __all__: perfbench reads it
 from .markov import (CLASS_NAMES, AbsorptionResult, HittingTimeResult,
-                     absorption_probabilities, brute_force_absorption,
-                     build_transition_matrix, conditional_hitting_time)
+                     absorption_probabilities, build_transition_matrix,
+                     conditional_hitting_time)
 from .montecarlo import (EstimateResult, ExperimentConfig, ScalingRow,
                          default_budget, estimate, runtime_scaling, wilson_ci)
 from .stagnation import StagnationEvent, classify, is_absorbing_oracle
@@ -31,8 +31,7 @@ __all__ = [
     "step", "run_trial", "split_seed",
     "StagnationEvent", "classify", "is_absorbing_oracle",
     "CLASS_NAMES", "AbsorptionResult", "HittingTimeResult",
-    "absorption_probabilities", "brute_force_absorption",
-    "conditional_hitting_time",
+    "absorption_probabilities", "conditional_hitting_time",
     "ExperimentConfig", "EstimateResult", "ScalingRow",
     "estimate", "wilson_ci", "runtime_scaling", "default_budget",
     "LemmaReport", "check_mutation_facts", "check_selection_equivalence",

@@ -9,13 +9,12 @@ the rejected mass.  Rows are made from the table when the solver asks for
 them, a group of levels at a time, so the whole chain is never stored.
 Level by level in fitness order, the chains are solved for absorption
 probabilities (optimum vs each proven stagnation event) and, in the same
-pass, expected generations to the optimum given success.  A brute-force
-full-state chain, stored whole, validates the lumping.
+pass, expected generations to the optimum given success.  The tests check
+the lumping against a full-state chain with a solve of its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -29,9 +28,6 @@ from .stagnation import StagnationEvent, class_codes, lumped_index
 #: Absorbing classes, in fixed column order: the class codes of
 #: ``stagnation.class_codes``.
 CLASS_NAMES = ("optimum", *(event.value for event in StagnationEvent))
-
-#: Full-state (unlumped) chains are enumerable up to this length.
-BRUTE_FORCE_MAX_N = 12
 
 _SOLVE_TOL = 1e-12  # normwise relative backward error of each solved column
 _PROB_RANGE_TOL = 1e-12
@@ -137,41 +133,10 @@ def _build_offspring_table(kind, n: int):
     return lo, tail, scale
 
 
-def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
-    """Pieces (vals, cols, counts) of rows moving to cols[i, j] with
-    accepted mass vals[i, j] and keeping their rejected mass on states[i],
-    divided by their sums (float dust costs accuracy); zeros are dropped.
-    The brute-force chain's selection step; lumped rows have their own in
-    _lumped_row_builder."""
-    cols = np.broadcast_to(cols, vals.shape)
-    own = cols == states[:, None]
-    has_own = own.any(axis=1)
-    vals = np.hstack([vals, np.where(has_own, 0.0, rejected)[:, None]])
-    vals[:, :-1][own] += rejected[has_own]
-    cols = np.hstack([cols, states[:, None]], dtype=np.int32)
-    vals /= vals.sum(axis=1, keepdims=True)
-    keep = vals > 0.0
-    return vals[keep], cols[keep], keep.sum(axis=1)
-
-
-def _stack(blocks):
-    """Rows (ptr, cols, vals) of the _select_rows blocks, in block order: row
-    i's entries are cols[ptr[i]:ptr[i + 1]] and vals[ptr[i]:ptr[i + 1]]."""
-    vals, cols, counts = (np.concatenate(part) for part in zip(*blocks))
-    return np.concatenate([[0], np.cumsum(counts)]), cols, vals
-
-
-def _take_rows(ptr, cols, vals, rows: np.ndarray):
-    """(ptr, cols, vals) of the given rows of stored rows, in that order."""
-    start, counts = ptr[rows], ptr[rows + 1] - ptr[rows]
-    out = np.concatenate([[0], np.cumsum(counts)])
-    take = np.repeat(start - out[:-1], counts) + np.arange(out[-1])
-    return out, cols[take], vals[take]
-
-
 class _RowSource(NamedTuple):
     """Rows of a chain on demand: rows(states) is their (ptr, cols, vals), in
-    the order asked (see _stack), and sizes[i] bounds row i's entries."""
+    the order asked, with row i's entries cols[ptr[i]:ptr[i + 1]] and
+    vals[ptr[i]:ptr[i + 1]]; sizes[i] bounds state i's entries."""
 
     rows: Callable[[np.ndarray], tuple]
     sizes: np.ndarray
@@ -232,7 +197,7 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
 
 
 def build_transition_matrix(kind, w: int, n: int) -> np.ndarray:
-    """Dense 4n x 4n view of the sparse lumped rows that the solvers use."""
+    """Dense 4n x 4n view of the sparse lumped rows that the solver uses."""
     ptr, cols, vals = _lumped_row_builder(kind, w, n).rows(np.arange(4 * n))
     P = np.zeros((4 * n, 4 * n))
     P[np.repeat(np.arange(4 * n), np.diff(ptr)), cols] = vals
@@ -258,8 +223,6 @@ class AbsorptionResult:
     started from lumped state i; rows of absorbing states are one-hot.
     ``overall`` weights per_state by the uniform-initialization law (so a
     start that is already optimal or already stagnated counts at g = 0).
-    ``lumping_spread`` (brute force only) is the largest deviation of any
-    full state's absorption probability from its lumped group's mean.
     """
 
     kind: object
@@ -268,7 +231,6 @@ class AbsorptionResult:
     state_class: np.ndarray
     per_state: np.ndarray
     overall: dict
-    lumping_spread: float | None = None
 
     @property
     def p_optimum(self) -> float:
@@ -282,13 +244,13 @@ class AbsorptionResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused by name
-def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray, x: np.ndarray, chain: str,
-                  time_of: int | None = None) -> np.ndarray:
+def _solve_levels(P: _RowSource, fitness: np.ndarray, unknown: np.ndarray, x: np.ndarray,
+                  chain: str, time_of: int | None = None) -> np.ndarray:
     """Solve esc_i x_i - sum_{j != i} P_ij x_j = 0 for every state i in
-    ``unknown`` (P a _RowSource, or stored rows: a (ptr, cols, vals) triple
-    or a dense array), where esc_i = sum_{j != i} P_ij and ``x`` holds the
-    known values outside ``unknown`` and zeros on it.  With ``time_of`` = c,
-    x's last column is y = E[T 1{class c}], whose right-hand side is x_ic.
+    ``unknown``, where esc_i = sum_{j != i} P_ij, P's rows come from the row
+    source, and ``x`` holds the known values outside ``unknown`` and zeros on
+    it.  With ``time_of`` = c, x's last column is y = E[T 1{class c}], whose
+    right-hand side is x_ic.
 
     No accepted move lowers the fitness, so I - Q is block triangular in
     fitness order.  Sorted by descending fitness, a level's rows are one
@@ -305,11 +267,6 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray, x: np.ndarray, ch
     on a lower level (back-substitution would drop it), a singular level
     block, a value past double precision, and a column's normwise backward
     error |A X - R| / (|A| |X| + |R|) over _SOLVE_TOL."""
-    if not isinstance(P, _RowSource):  # stored rows, whose sizes are exact
-        if isinstance(P, np.ndarray):
-            r, c = np.nonzero(P)
-            P = np.searchsorted(r, np.arange(P.shape[0] + 1)), c, P[r, c]
-        P = _RowSource(functools.partial(_take_rows, *P), np.diff(P[0]))
     m = x.shape[1] - (time_of is not None)
     order = unknown[np.argsort(-fitness[unknown], kind="stable")]
     starts = np.flatnonzero(np.diff(fitness[order], prepend=np.inf, append=-np.inf))
@@ -395,9 +352,10 @@ def _solve_levels(P, fitness: np.ndarray, unknown: np.ndarray, x: np.ndarray, ch
     return x
 
 
-def _solve_absorption(P, cls: np.ndarray, fitness: np.ndarray, chain: str, hitting=False):
-    """Per-state absorption probabilities for a chain with labelled classes
-    (P as in _solve_levels), and with ``hitting`` a last column E[T 1{optimum}]."""
+def _solve_absorption(P: _RowSource, cls: np.ndarray, fitness: np.ndarray, chain: str,
+                      hitting=False):
+    """Per-state absorption probabilities for a chain with labelled classes,
+    and with ``hitting`` a last column E[T 1{optimum}]."""
     x = np.zeros((cls.size, len(CLASS_NAMES) + hitting))
     per = x[:, :len(CLASS_NAMES)]
     absorbing = cls >= 0
@@ -434,52 +392,6 @@ def _lumped_solution(kind, w: int, n: int, hitting: bool = False):
 def absorption_probabilities(kind, w: int, n: int) -> AbsorptionResult:
     """Exact per-start and overall absorption probabilities on the lumped chain."""
     return _lumped_solution(kind, w, n)[0]
-
-
-def brute_force_absorption(kind, w: int, n: int) -> AbsorptionResult:
-    """Absorption on the unlumped chain over all 2 * 2**n full states.
-
-    Used solely to validate the lumping, so its rows bypass the lumped code:
-    a 2**n x 2**n offspring matrix read off the Hamming distance d (1/n at
-    d = 1 for one-bit mutation, (1/n)^d (1 - 1/n)^(n-d) for bit-wise), then
-    one selection step.  Results are aggregated back to lumped indexing,
-    with the within-group spread reported."""
-    _require_single_parent(kind, n)
-    w = check_weight(w)
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    B, X = 1 << n, np.arange(1 << n)
-    ones, first = np.array([bin(v).count("1") for v in X], dtype=np.int64), X & 1
-    dist = ones[X[:, None] ^ X]  # offspring law over bitstrings, from Hamming distances
-    M = (dist == 1) / n if kind.name == "rls" else (1 / n) ** dist * (1 - 1 / n) ** (n - dist)
-    del dist
-
-    # states in order of stored bit, first bit, bitstring.  Offspring y of (prev, x)
-    # is accepted iff ones(y) + w * x_1 >= ones(x) + w * prev, giving (x_1, y)
-    rank = (X >> 1) + first * (B // 2)
-    stored, x = np.repeat([0, 1], B), np.tile(np.r_[X[0::2], X[1::2]], 2)
-    blocks = []
-    for prev, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        xs = X[c::2]
-        accepted = ones + w * c >= (ones[xs] + w * prev)[:, None]
-        blocks.append(_select_rows(np.where(accepted, M[xs], 0.0), c * B + rank,
-                                   np.where(accepted, 0.0, M[xs]).sum(axis=1),
-                                   prev * B + rank[xs]))
-    del M
-    P = _stack(blocks)
-    del blocks
-    gidx = (2 * stored + first[x]) * n + ones[x] - first[x]
-    cls = state_classes(kind, w, n)
-    per_full = _solve_absorption(P, cls[gidx], ones[x] + w * stored,
-                                 f"full-state {kind.name} n={n} w={w}")
-    overall = {name: float(per_full[:, c].mean()) for c, name in enumerate(CLASS_NAMES)}
-
-    # aggregate back to lumped indexing; exchangeability means every group is constant
-    per_lumped = np.zeros((4 * n, len(CLASS_NAMES)))
-    np.add.at(per_lumped, gidx, per_full)
-    per_lumped /= np.bincount(gidx, minlength=4 * n)[:, None]
-    spread = float(np.abs(per_full - per_lumped[gidx]).max())
-    return AbsorptionResult(kind, w, n, cls, per_lumped, overall, lumping_spread=spread)
 
 
 @dataclass(eq=False)

@@ -16,6 +16,8 @@ from tlonemax.cli import (PRESET_SEED, THEOREM10_MU, THEOREM10_N,
                           THEOREM10_PINNED_FRACTION, THEOREM10_TRIALS)
 from tlonemax.core import TLState
 
+from oracles import full_state_absorption
+
 
 def _report(num, name, detail=""):
     print(f"ACCEPTANCE {num:02d} ({name}): PASS {detail}")
@@ -28,7 +30,7 @@ def test_criterion_01_lumped_matches_brute_force():
         for w in (-8, -3, -1, 0, 1, 2, 5):
             for n in (4, 6, 8):
                 lump = tl.absorption_probabilities(kind, w, n)
-                brute = tl.brute_force_absorption(kind, w, n)
+                brute = full_state_absorption(kind, w, n)
                 for c in tl.CLASS_NAMES:
                     worst = max(worst, abs(lump.overall[c] - brute.overall[c]))
                 worst = max(worst, float(np.abs(lump.per_state - brute.per_state).max()))

@@ -45,7 +45,7 @@ def test_is_global_optimum_exhaustive():
 
 
 def test_public_names():
-    assert len(tl.__all__) == len(set(tl.__all__)) == 36
+    assert len(tl.__all__) == len(set(tl.__all__)) == 35
     for name in tl.__all__:
         getattr(tl, name)
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -16,9 +17,10 @@ from scipy.stats import binom
 import tlonemax as tl
 from tlonemax.cli import EXIT_USAGE, main
 from tlonemax.markov import (_binomial_logpmf, _lumped_row_builder, _offspring_table,
-                             _select_rows, _solve_levels, _stack, _take_rows, binomial_pmf,
-                             lumped_index)
+                             _RowSource, _solve_levels, binomial_pmf, lumped_index)
 from tlonemax.stagnation import RLS_ORACLE_MAX_N
+
+from oracles import full_state_absorption
 
 
 class TestTransitionRow:
@@ -224,10 +226,26 @@ class TestOffspringTableReuse:
             assert np.array_equal(cold.absorption.per_state, hit.absorption.per_state)
 
 
+def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
+    """Pieces (vals, cols, counts) of rows moving to cols[i, j] with
+    accepted mass vals[i, j] and keeping their rejected mass on states[i],
+    divided by their sums; zeros are dropped."""
+    cols = np.broadcast_to(cols, vals.shape)
+    own = cols == states[:, None]
+    has_own = own.any(axis=1)
+    vals = np.hstack([vals, np.where(has_own, 0.0, rejected)[:, None]])
+    vals[:, :-1][own] += rejected[has_own]
+    cols = np.hstack([cols, states[:, None]], dtype=np.int32)
+    vals /= vals.sum(axis=1, keepdims=True)
+    keep = vals > 0.0
+    return vals[keep], cols[keep], keep.sum(axis=1)
+
+
 def _rows_by_generic_selection(kind, w, n, states):
-    """Lumped rows through the brute-force chain's _select_rows, from slabs
-    laid out as (same[k, t:], flip[k, u:]) with same and flip the two scaled
-    offspring tables, stacked per (p, c) and then put in the order asked."""
+    """Lumped rows through a generic selection step, _select_rows, from
+    slabs laid out as (same[k, t:], flip[k, u:]) with same and flip the two
+    scaled offspring tables, stacked per (p, c) and then put in the order
+    asked as (ptr, cols, vals)."""
     lo, tail, scale = _offspring_table(kind, n)
     same, flip = tail * scale[0], tail * scale[1]
     width = tail.shape[1]
@@ -242,7 +260,13 @@ def _rows_by_generic_selection(kind, w, n, states):
         blocks.append(_select_rows(np.hstack([same[kk, t:], flip[kk, u:]]), np.hstack(cols),
                                    same[kk, :t].sum(axis=1) + flip[kk, :u].sum(axis=1),
                                    lumped_index(p, c, kk, n)))
-    return _take_rows(*_stack(blocks), np.argsort(np.concatenate(picks)))
+    vals, cols, counts = (np.concatenate(part) for part in zip(*blocks))
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    rows = np.argsort(np.concatenate(picks))
+    start, counts = ptr[rows], counts[rows]
+    out = np.concatenate([[0], np.cumsum(counts)])
+    take = np.repeat(start - out[:-1], counts) + np.arange(out[-1])
+    return out, cols[take], vals[take]
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
@@ -302,17 +326,17 @@ class TestAbsorption:
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
             for w in (-6, -1, 0, 2):
                 lump = tl.absorption_probabilities(kind, w, 6)
-                bf = tl.brute_force_absorption(kind, w, 6)
+                bf = full_state_absorption(kind, w, 6)
                 for c in tl.CLASS_NAMES:
                     assert abs(lump.overall[c] - bf.overall[c]) <= 1e-10
                 assert np.abs(lump.per_state - bf.per_state).max() <= 1e-10
-                assert bf.lumping_spread <= 1e-10
+                assert bf.spread <= 1e-10
 
     def test_equal_results_below_minus_n(self):
         n = 8
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
-            base = tl.brute_force_absorption(kind, -n, n)
-            other = tl.brute_force_absorption(kind, -2 * n, n)
+            base = full_state_absorption(kind, -n, n)
+            other = full_state_absorption(kind, -2 * n, n)
             for c in tl.CLASS_NAMES:
                 assert abs(base.overall[c] - other.overall[c]) <= 1e-12
 
@@ -341,18 +365,14 @@ class TestAbsorption:
             for w in (2, 7, n):
                 res = tl.absorption_probabilities(tl.RLS, w, n)
                 assert abs(res.p_failure - (0.25 + 0.5 / n)) <= 1e-10
-        # the brute-force oracle confirms the closed form at n <= 12
-        bf = tl.brute_force_absorption(tl.RLS, 3, 10)
-        assert abs(bf.p_failure - (0.25 + 0.05)) <= 1e-10
+        # the full-state oracle confirms the closed form at n = 10
+        bf = full_state_absorption(tl.RLS, 3, 10)
+        assert abs(sum(bf.overall[c] for c in tl.CLASS_NAMES[1:]) - (0.25 + 0.05)) <= 1e-10
 
     def test_per_state_rows_sum_to_one(self):
         res = tl.absorption_probabilities(tl.ONE_PLUS_ONE_EA, -5, 12)
         assert np.abs(res.per_state.sum(axis=1) - 1).max() <= 1e-10
         assert res.per_state.min() >= 0 and res.per_state.max() <= 1
-
-    def test_brute_force_size_guard(self):
-        with pytest.raises(ValueError):
-            tl.brute_force_absorption(tl.RLS, 0, 13)
 
     def test_event_masses_match_event_structure(self):
         # positive weights never produce event1/event2 mass and vice versa
@@ -446,6 +466,16 @@ class TestEaWeightTwoFailure:
         assert abs(p / float(self.closed_form(n)) - 1) <= 1e-11
 
 
+def _dense_rows(P: np.ndarray) -> _RowSource:
+    """A hand-built dense chain as the solver's row source: each asked
+    state's nonzero entries, in the order asked."""
+    def rows(states):
+        r, c = np.nonzero(P[states])
+        return np.searchsorted(r, np.arange(states.size + 1)), c, P[states[r], c]
+
+    return _RowSource(rows, np.count_nonzero(P, axis=1))
+
+
 class TestLevelSolver:
     def test_hitting_times_match_rational_oracle(self):
         # y = E[T 1{optimum}] in exact arithmetic; the last three points were
@@ -537,8 +567,8 @@ class TestLevelSolver:
         # state 0 (fitness 3) absorbs into state 3, in their panel unless
         # every panel is one level
         monkeypatch.setattr(tl.markov, "_PANEL", panel)
-        P = np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0],
-                      [0.0, 0.25, 0.75, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        P = _dense_rows(np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0],
+                                  [0.0, 0.25, 0.75, 0.0], [0.0, 0.0, 0.0, 1.0]]))
         fitness, x = np.array([3, 1, 1, 4]), np.array([[0.0], [0.0], [0.0], [1.0]])
         with pytest.raises(RuntimeError,
                            match="^hand-built: transient block at fitness 1 is singular: "):
@@ -549,7 +579,7 @@ class TestLevelSolver:
 
     def test_refuses_fitness_lowering_mass(self):
         # state 0 is transient; state 1 is known at x = 1, state 2 at x = 0
-        P = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        P = _dense_rows(np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         x = np.array([[0.0], [1.0], [0.0]])
         _solve_levels(P, np.array([1, 2, 1]), np.array([0]), x, "hand-built")
         assert abs(x[0, 0] - 0.5) <= 1e-15
@@ -619,7 +649,6 @@ class TestRefusals:
                  lambda: tl.markov.initial_distribution(n),
                  lambda: tl.absorption_probabilities(tl.RLS, 2, n),
                  lambda: tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, 2, n),
-                 lambda: tl.brute_force_absorption(tl.RLS, 2, n),
                  lambda: tl.random_init(n, np.random.default_rng(0)),
                  lambda: tl.default_budget(n),
                  lambda: tl.ExperimentConfig(kind=tl.RLS, n=n, w=2, trials=1, budget=1)]
@@ -668,11 +697,12 @@ class TestRefusals:
 
 
 def _check_exact_demo(out):
-    # the only demo that reads the brute-force chain and its lumping spread
-    diff = re.search(r"max per-state difference: (\S+)", out)
-    spread = re.search(r"within-group spread of the full chain: (\S+)", out)
-    assert diff and spread, out
-    assert float(diff.group(1)) <= 1e-10 and float(spread.group(1)) <= 1e-10
+    # one-bit search at w = 2 against its closed form 1/4 + 1/(2n)
+    rows = re.findall(r"n= *(\d+): exact (\S+) vs closed form (\S+)", out)
+    assert [int(n) for n, *_ in rows] == [10, 50, 200], out
+    for n, exact, closed in rows:
+        assert abs(float(closed) - (0.25 + 0.5 / int(n))) <= 1e-12, (n, closed)
+        assert abs(float(exact) - float(closed)) <= 1e-10, (n, exact, closed)
 
 
 def _check_population_demo(out):
@@ -744,7 +774,6 @@ tl.estimate(tl.ExperimentConfig(tl.ONE_PLUS_ONE_EA, 8, -2, 5, 200, 1))
 tl.runtime_scaling(tl.RLS, 1, [4, 6], 3, master_seed=2)
 tl.absorption_probabilities(tl.RLS, 2, 8)
 tl.conditional_hitting_time(tl.ONE_PLUS_ONE_EA, -3, 8)
-tl.brute_force_absorption(tl.ONE_PLUS_ONE_EA, -3, 6)
 tl.build_transition_matrix(tl.RLS, 1, 6)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in (
@@ -765,6 +794,48 @@ def test_no_call_loads_scipy():
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * 5
     assert report["scipy"] == []
+
+
+def _markov_uses(source: str) -> tuple:
+    """(uses, modules) of the source: its imports of tlonemax.markov or of a
+    name that markov.py defines, and its attributes with such a name; the
+    tlonemax modules that it imports."""
+    names = {"markov"}
+    for node in ast.parse((_ROOT / "src" / "tlonemax" / "markov.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    uses, modules = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            uses.append(f"line {node.lineno}: .{node.attr}")
+        if isinstance(node, ast.Import):
+            found = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found = [name for name in found if name and name.startswith("tlonemax")]
+        modules.update(found[:1])
+        uses += [f"line {node.lineno}: {name}" for name in found
+                 if set(name.split(".")[1:]) & names]
+    return uses, modules
+
+
+def test_full_state_oracle_shares_no_code_with_markov():
+    # the oracle checks markov's solver, so it may not read any of it; the
+    # class labels come from stagnation, which is_absorbing_oracle checks
+    uses, modules = _markov_uses((_ROOT / "tests" / "oracles.py").read_text())
+    assert uses == []
+    assert modules == {"tlonemax.stagnation"}
+    # the check sees each way in
+    for line in ("import tlonemax.markov", "from tlonemax import markov",
+                 "from tlonemax.markov import binomial_pmf",
+                 "from tlonemax import absorption_probabilities as solve",
+                 "import tlonemax as tl; tl.CLASS_NAMES"):
+        assert _markov_uses(line)[0], line
 
 
 class TestHittingTimes:
