@@ -5,8 +5,12 @@ so the full chain over (stored first bit, current bitstring) lumps exactly to
 4n states (stored first bit, current first bit, ones among positions 2..n).
 A lumped row is sparse: the accepted window of one row of an offspring table
 built once per (kind, n), the only place RLS and the (1+1) EA differ, plus
-the rejected mass.  Rows are made from the table when the solver asks for
-them, a group of levels at a time, so the whole chain is never stored.
+the rejected mass.  Each window is cut to its significant band, past which
+every row's accepted mass is at most 2**-52 of the band's off-diagonal
+mass; that moves each row of the solved jump chain by at most 2**-51 in l1
+(see _lumped_row_builder).  Rows are made from the table when the solver
+asks for them, a group of levels at a time, so the whole chain is never
+stored.
 Level by level in fitness order, the chains are solved for absorption
 probabilities (optimum vs each proven stagnation event) and, in the same
 pass, expected generations to the optimum given success.  The tests check
@@ -32,16 +36,24 @@ CLASS_NAMES = ("optimum", *(event.value for event in StagnationEvent))
 _SOLVE_TOL = 1e-12  # normwise relative backward error of each solved column
 _PROB_RANGE_TOL = 1e-12
 _ROW_SUM_TOL = 1e-10
+_EPS = np.finfo(float).eps  # 2**-52: the mass a row band may drop, relative to what it keeps
 _CHUNK = 1 << 16  # row entries per group of panels in the vectorised solver pass
 # states per panel, a run of whole levels solved as one dense block; OpenBLAS
 # threads solves from 100 x 100 up, which costs more than it saves at this size
 _PANEL = 64
 
 
+_logfact = np.zeros(0)  # log(i!) = math.lgamma(i + 1) at index i, grown on demand
+
+
 def _binomial_logpmf(m, k, p: float):
     """log P(Bin(m, p) = k) over arrays m and k broadcast; -inf where k > m."""
+    global _logfact
     m, k = np.asarray(m), np.asarray(k)
-    logfact = np.array([math.lgamma(i + 1) for i in range(max(m.max(), k.max()) + 1)])
+    logfact, top = _logfact, max(m.max(), k.max()) + 1  # one read of the shared table
+    if top > logfact.size:
+        logfact = _logfact = np.append(logfact, [math.lgamma(i + 1)
+                                                 for i in range(logfact.size, top)])
     rest = m - k
     fits = rest >= 0
     rest[~fits] = 0  # in place: one temporary of the broadcast shape fewer
@@ -142,56 +154,101 @@ class _RowSource(NamedTuple):
     sizes: np.ndarray
 
 
+def _band_end(tail: np.ndarray, scale: np.ndarray, s: int) -> int:
+    """The end e of the band [s, e) kept of the accepted window [s, width)
+    of scaled table rows tail[k] * scale: the first e >= s at which, in every
+    row k, the mass left past it, sum_{j >= e}, is at most 2**-52 of the
+    kept mass sum_{s <= j < e}, both summed directly.  e = width drops
+    nothing.  Row 0, the widest row of a bit-wise table, is searched column
+    by column first; then the rows are checked against the end found so far
+    in blocks of about ``_CHUNK`` entries, and only the rows that it leaves
+    too much mass are searched."""
+    n, width = tail.shape
+    end, rows = s, max(1, _CHUNK // width)
+    for a, b in zip([0, *range(1, n, rows)], [*range(1, n, rows), n]):
+        mass = tail[a:b, s:] * scale[s:]
+        i = end - s
+        mass = mass[mass[:, i:].sum(axis=1) > _EPS * mass[:, :i].sum(axis=1)]
+        if mass.size:
+            kept, left = np.zeros((2, mass.shape[0], width - s + 1))
+            np.cumsum(mass, axis=1, out=kept[:, 1:])
+            np.cumsum(mass[:, ::-1], axis=1, out=left[:, -2::-1])
+            end = s + int((left <= _EPS * kept).argmax(axis=1).max())
+    return end
+
+
 def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
     """Lumped rows, built per call for the states asked, so no solve stores
     the whole chain.  Offspring (c', k') of state (p, c, k) is accepted iff
     c' + k' + w * c >= c + k + w * p, giving (c, c', k'): the columns
     j >= lo + c - c' + w * (p - c) of table row k; rejected mass stays.
 
-    The rows of one (p, c) fill one slab: the accepted c' = c window, the
-    accepted c' = 1 - c window, then the rejected mass.  The state itself is
-    a column only when p = c, as column 0 (k' = k); there it takes the
-    rejected mass and the last column is 0.  Rows are divided by their sums
-    (float dust costs accuracy), placed in the order asked, zero-padded to
-    one width, and their zeros dropped.  Slab column j of state (p, c, k) is
-    state base[2p + c, j] + k.  A row's entries and their order do not
+    Each accepted window [s, width) is cut to its significant band [s, e)
+    by ``_band_end``, once per chain: in every table row the accepted mass
+    past e is at most 2**-52 of the band's off-diagonal mass.  The state
+    itself (column lo of the c' = c window when p = c) is kept but not
+    counted, and neither the rejected mass nor a row's leading term enters
+    the bound, so a far row's 1e-150 escape mass is measured against
+    itself.  The solver scales each row by its off-diagonal mass esc (the
+    jump chain); dropping delta <= 2**-52 esc of it moves that jump-chain row
+    by 2 delta / esc <= 2**-51 in l1.  So absorption probabilities move by
+    at most kappa 2**-51, kappa the condition number of the level solve,
+    and expected generations by about as much relative.  The RLS windows
+    are 3 wide; their bands drop zeros only, so RLS rows are unchanged.
+
+    The rows of one (p, c) fill one slab: the c' = c band, the c' = 1 - c
+    band, then the rejected mass, summed per table row once per chain.  The
+    state itself is a column only when p = c, as column 0 (k' = k); there it
+    takes the rejected mass and the last column is 0.  Rows are divided by
+    their sums (float dust costs accuracy), their zeros dropped, and put in
+    the order asked.  Slab column j of state (p, c, k) is state b[j] + k for
+    the block's column bases b.  A row's entries and their order do not
     depend on which other states are asked for with it.  The table is
     fetched once, here."""
     _require_single_parent(kind, n)
     w = check_weight(w)
     lo, tail, scale = _offspring_table(kind, n)
     width = tail.shape[1]
+    chunk = max(1, _CHUNK // width)  # table rows per block of about _CHUNK entries
     blocks = []
     for p, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
         # the first accepted table column for c' = c (t) and for c' = 1 - c (u)
         t, u = (min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c))
-        blocks.append((p == c, t, u, np.concatenate([3 * c * n - lo + np.arange(t, width),
-                                                     (c + 1) * n - lo + np.arange(u, width),
-                                                     [(2 * p + c) * n]])))
-    base = np.zeros((4, max(b.size for *_, b in blocks)), dtype=np.int32)
-    for code, (*_, b) in enumerate(blocks):
-        base[code, :b.size] = b
+        own = p == c
+        et, eu = _band_end(tail, scale[0], t + own), _band_end(tail, scale[1], u)
+        rejected = np.concatenate([(tail[a:a + chunk, :t] * scale[0, :t]).sum(axis=1)
+                                   + (tail[a:a + chunk, :u] * scale[1, :u]).sum(axis=1)
+                                   for a in range(0, n, chunk)])
+        blocks.append((own, t, et, u, eu, rejected,
+                       np.concatenate([3 * c * n - lo + np.arange(t, et),
+                                       (c + 1) * n - lo + np.arange(u, eu),
+                                       [(2 * p + c) * n]]).astype(np.int32)))
 
     def rows(states: np.ndarray) -> tuple:
         pc, k = np.divmod(states, n)
-        padded = np.zeros((states.size, base.shape[1]))
-        for code, (own, t, u, b) in enumerate(blocks):
-            pick = np.flatnonzero(pc == code)
-            law, slab = tail[k[pick]], np.empty((pick.size, b.size))
-            np.multiply(law[:, t:], scale[0, t:], out=slab[:, :width - t])
-            np.multiply(law[:, u:], scale[1, u:], out=slab[:, width - t:-1])
-            rejected = ((law[:, :t] * scale[0, :t]).sum(axis=1)
-                        + (law[:, :u] * scale[1, :u]).sum(axis=1))
+        picks, counts, cols, vals = [], [], [], []
+        for code, (own, t, et, u, eu, rejected, b) in enumerate(blocks):
+            picks.append(pick := np.flatnonzero(pc == code))
+            kk, slab = k[pick], np.empty((pick.size, b.size))
+            np.multiply(tail[kk, t:et], scale[0, t:et], out=slab[:, :et - t])
+            np.multiply(tail[kk, u:eu], scale[1, u:eu], out=slab[:, et - t:-1])
             if own:
-                slab[:, 0] += rejected
+                slab[:, 0] += rejected[kk]
                 slab[:, -1] = 0.0
             else:
-                slab[:, -1] = rejected
+                slab[:, -1] = rejected[kk]
             slab /= slab.sum(axis=1, keepdims=True)
-            padded[pick, :b.size] = slab
-        keep = padded > 0.0
-        cols = base[pc] + k.astype(np.int32)[:, None]
-        return np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], padded[keep]
+            keep = slab > 0.0
+            counts.append(keep.sum(axis=1))
+            cols.append((b + kk.astype(np.int32)[:, None])[keep])
+            vals.append(slab[keep])
+        # from block order to the order asked
+        counts, cols, vals = (np.concatenate(part) for part in (counts, cols, vals))
+        asked = np.argsort(np.concatenate(picks))
+        start, counts = np.cumsum(counts)[asked] - counts[asked], counts[asked]
+        ptr = np.concatenate([[0], np.cumsum(counts)])
+        take = np.repeat(start - ptr[:-1], counts) + np.arange(ptr[-1])
+        return ptr, cols[take], vals[take]
 
     return _RowSource(rows, np.repeat([b.size for *_, b in blocks], n))
 

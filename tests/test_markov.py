@@ -84,8 +84,11 @@ class TestTransitionRow:
 
     @pytest.mark.parametrize("n", [40, 200, 1000])
     def test_ea_rows_match_full_convolution(self, n):
-        # the offspring table cuts the binomials where they underflow; rows
-        # rebuilt from the full-length pmfs must keep the same support
+        # the offspring table cuts the binomials where they underflow and each
+        # accepted window to its band; rows rebuilt from the full-length pmfs
+        # may hold more entries, but per window c' the band's support is
+        # theirs and their accepted mass outside the band is at most 2**-52 of
+        # the band's off-diagonal mass
         for w in (-n, -1, 0, 2, n):
             P = tl.build_transition_matrix(tl.ONE_PLUS_ONE_EA, w, n)
             for c in (0, 1):
@@ -94,8 +97,16 @@ class TestTransitionRow:
                     for p in (0, 1):
                         ref = _select_reference(law, w, n, p, c, k)
                         row = P[lumped_index(p, c, k, n)]
-                        assert np.array_equal(row > 0, ref > 0), (n, w, p, c, k)
+                        assert not (row > 0)[ref == 0].any(), (n, w, p, c, k)
                         assert np.abs(row - ref).max() <= 1e-15, (n, w, p, c, k)
+                        accepted = np.where(np.arange(2)[:, None] + np.arange(n) + w * c
+                                            >= c + k + w * p, law, 0.0)
+                        band = row[2 * c * n:2 * (c + 1) * n].reshape(2, n) > 0
+                        if p == c:  # the state itself is neither kept nor dropped
+                            accepted[c, k] = 0.0
+                        for window, kept in zip(accepted, band):
+                            assert window[~kept].sum() <= 2.0**-52 * window[kept].sum(), \
+                                (n, w, p, c, k)
 
     @pytest.mark.parametrize("n", [7, 40])
     def test_row_builder_keeps_rows_whatever_it_is_asked_with(self, n):
@@ -241,11 +252,22 @@ def _select_rows(vals, cols, rejected: np.ndarray, states: np.ndarray):
     return vals[keep], cols[keep], keep.sum(axis=1)
 
 
+def _band_by_rule(mass: np.ndarray) -> int:
+    """Columns of the significant band of an accepted window whose rows hold
+    the masses ``mass``: the fewest columns e after which, in every row, the
+    mass left is at most 2**-52 of the mass kept, both summed directly."""
+    kept = np.hstack([np.zeros((mass.shape[0], 1)), np.cumsum(mass, axis=1)])
+    left = np.hstack([np.cumsum(mass[:, ::-1], axis=1)[:, ::-1], np.zeros((mass.shape[0], 1))])
+    return int((left <= 2.0**-52 * kept).all(axis=0).argmax())
+
+
 def _rows_by_generic_selection(kind, w, n, states):
     """Lumped rows through a generic selection step, _select_rows, from
-    slabs laid out as (same[k, t:], flip[k, u:]) with same and flip the two
-    scaled offspring tables, stacked per (p, c) and then put in the order
-    asked as (ptr, cols, vals)."""
+    slabs laid out as (same[k, t:et], flip[k, u:eu]) with same and flip the
+    two scaled offspring tables and [t, et), [u, eu) the bands of the
+    accepted windows (the state itself, column t when p = c, always kept and
+    not counted), stacked per (p, c) and then put in the order asked as
+    (ptr, cols, vals)."""
     lo, tail, scale = _offspring_table(kind, n)
     same, flip = tail * scale[0], tail * scale[1]
     width = tail.shape[1]
@@ -253,11 +275,14 @@ def _rows_by_generic_selection(kind, w, n, states):
     picks, blocks = [], []
     for p, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
         t, u = (min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c))
+        own = int(p == c)
+        et = t + own + _band_by_rule(same[:, t + own:])
+        eu = u + _band_by_rule(flip[:, u:])
         picks.append(pick := np.flatnonzero(pc == 2 * p + c))
         kk = k[pick]
-        cols = [(2 * c + cp) * n + kk[:, None] - lo + np.arange(v, width)
-                for cp, v in ((c, t), (1 - c, u))]
-        blocks.append(_select_rows(np.hstack([same[kk, t:], flip[kk, u:]]), np.hstack(cols),
+        cols = [(2 * c + cp) * n + kk[:, None] - lo + np.arange(v, e)
+                for cp, v, e in ((c, t, et), (1 - c, u, eu))]
+        blocks.append(_select_rows(np.hstack([same[kk, t:et], flip[kk, u:eu]]), np.hstack(cols),
                                    same[kk, :t].sum(axis=1) + flip[kk, :u].sum(axis=1),
                                    lumped_index(p, c, kk, n)))
     vals, cols, counts = (np.concatenate(part) for part in zip(*blocks))
@@ -561,6 +586,40 @@ class TestLevelSolver:
                 assert (np.abs(x - y) <= 1e-13 * np.maximum(np.abs(x), np.abs(y))).all(), \
                     (kind.name, w, n)
 
+    def test_row_bands_agree_with_full_windows(self, monkeypatch):
+        # rows cut to their significant bands against rows that keep every
+        # accepted entry: each jump-chain row moves by at most 2**-51 in l1,
+        # far rows (|w| near n) included, refusals too
+        cases = [(kind, w, 40) for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA) for w in range(-41, 42)]
+        cases += [(tl.ONE_PLUS_ONE_EA, w, 160) for w in (-160, -150, -80, 80, 150, 160)]
+        cases += [(tl.ONE_PLUS_ONE_EA, w, 300) for w in (-150, 150)]
+
+        def run():
+            out = []
+            for kind, w, n in cases:
+                for fn in (tl.absorption_probabilities, tl.conditional_hitting_time):
+                    try:
+                        out.append(fn(kind, w, n))
+                    except RuntimeError as exc:
+                        out.append(str(exc))
+            return out
+
+        bands = run()
+        monkeypatch.setattr(tl.markov, "_band_end", lambda tail, scale, s: tail.shape[1])
+        full = run()
+        for case, got, want in zip([case for case in cases for _ in range(2)], bands, full):
+            assert type(got) is type(want), (case, got, want)
+            if isinstance(got, str):
+                assert got == want, case
+            elif isinstance(got, tl.AbsorptionResult):
+                assert np.abs(got.per_state - want.per_state).max() <= 1e-13, case
+            else:
+                x, y = got.per_state, want.per_state
+                assert np.array_equal(np.isnan(x), np.isnan(y)), case
+                x, y = x[~np.isnan(x)], y[~np.isnan(y)]
+                assert (np.abs(x - y) <= 1e-13 * y).all(), case
+                assert abs(got.overall - want.overall) <= 1e-13 * want.overall, case
+
     @pytest.mark.parametrize("panel", [1, 64])
     def test_refuses_singular_level(self, monkeypatch, panel):
         # states 1 and 2 (fitness 1) only move to each other and never absorb;
@@ -603,9 +662,10 @@ def test_solves_allocate_no_dense_matrix():
 
 def test_solve_memory_stays_below_the_offspring_table():
     # rows are made per group of panels and never stored for the whole chain,
-    # so above a warm table the traced peak barely grows with n
+    # so above a warm table the traced peak barely grows with n; both chains
+    # span several groups of _CHUNK row entries
     peaks = {}
-    for n in (500, 1500):
+    for n in (1000, 3000):
         _offspring_table(tl.ONE_PLUS_ONE_EA, n)
         tracemalloc.start()
         try:
@@ -613,9 +673,9 @@ def test_solve_memory_stays_below_the_offspring_table():
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    tail = _offspring_table(tl.ONE_PLUS_ONE_EA, 1500)[1]
-    assert peaks[1500] <= 1.5 * peaks[500], peaks
-    assert peaks[1500] < 2 * tail.nbytes, (peaks, tail.nbytes)
+    tail = _offspring_table(tl.ONE_PLUS_ONE_EA, 3000)[1]
+    assert peaks[3000] <= 1.5 * peaks[1000], peaks
+    assert peaks[3000] < 2 * tail.nbytes, (peaks, tail.nbytes)
 
 
 def test_table_build_peaks_near_the_table():

@@ -1,12 +1,34 @@
 import dataclasses
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tlonemax as tl
 from tlonemax import algorithms, montecarlo
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_PEAK_RSS = """
+import resource, sys
+import tlonemax as tl
+tl.estimate(tl.ExperimentConfig(kind=tl.ONE_PLUS_ONE_EA, n=20, w=-20, trials=int(sys.argv[1]),
+                                 budget=tl.default_budget(20), master_seed=3))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _estimate_peak_rss_kb(trials: int) -> int:
+    """Peak RSS in KB of a fresh interpreter that runs one ea estimate at
+    n = 20, w = -20 over ``trials`` trials."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(trials)], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return int(proc.stdout)
 
 
 class TestWilson:
@@ -240,14 +262,8 @@ class TestBatchedTrials:
         assert montecarlo._run_trials(cfg) == one_by_one(cfg)
 
     def test_blocks_bound_memory(self):
-        # blocks of 128 trials peak at about 1 MB here; all 10**4 trials of
-        # this estimate stepped at once hold about 60 MB
-        cfg = tl.ExperimentConfig(kind=tl.ONE_PLUS_ONE_EA, n=20, w=-20, trials=10**4,
-                                  budget=tl.default_budget(20), master_seed=3)
-        tracemalloc.start()
-        try:
-            tl.estimate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, peak
+        # in a fresh process, blocks of 128 trials keep the peak RSS of this
+        # 10**4-trial estimate within a few MB of a 128-trial one; all 10**4
+        # trials stepped at once add about 60 MB
+        peaks = {trials: _estimate_peak_rss_kb(trials) for trials in (128, 10**4)}
+        assert peaks[10**4] - peaks[128] < 16 * 2**10, peaks
