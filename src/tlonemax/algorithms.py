@@ -6,8 +6,12 @@ trials at once, each on its own generator: one step of array operations
 applies every generation of each trial's window up to the first that flips
 a position an earlier accepted one flipped, up to an accepted bit-0 flip,
 or up to the trial's end.  ``run_trial`` hands it one generator, and
-``montecarlo`` hands it blocks of consecutive trials.  For RLS a trial is
-the same as iterating ``step``.  For the (1+1) EA it reads every mask off
+``montecarlo`` hands it blocks of consecutive trials.  A trial's generator
+is ``np.random.default_rng(seed)`` built from ``_seed_words``, numpy's
+``SeedSequence`` hash written once for Python ints and uint64 arrays, so a
+block's seeds and generator words are hashed in a few array passes
+(``_trial_generators``), and no generator hashes its seed again.  For RLS
+a trial is the same as iterating ``step``.  For the (1+1) EA it reads every mask off
 one flip field of geometric gaps (``_flip_cells``): the same mutation law
 as ``mutate_ea``'s ``rng.random(n) < 1/n``, but other random numbers, so
 seeded (1+1) EA trials differ from those of versions that drew n doubles
@@ -31,8 +35,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (TLState, _init_bits, _init_words, _integer, check_count, check_length,
                    check_seed, check_weight, fitness, top_fitness)
@@ -137,10 +143,134 @@ class TrialOutcome:
     final_state: TLState | list[PopulationMember]
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _int_words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first; 0
+    is one word.  numpy's ``SeedSequence`` reads an int entropy so."""
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_keys(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pairs of ``count`` successive steps of one of
+    ``SeedSequence``'s hashes: step i xors its value with init * mult**i and
+    multiplies it by init * mult**(i + 1), modulo 2**32."""
+    keys = []
+    for _ in range(count):
+        keys.append((init, init := init * mult & _MASK32))
+    return keys
+
+
+@lru_cache(maxsize=16)  # a run asks a few (size, words): seeds, generators, children
+def _hash_schedule(size: int, words: int):
+    """The steps of ``_seed_words`` for ``size`` entropy words and ``words``
+    output words: the entropy hash's keys for the pool's first fill, its
+    (source, destination, keys) for mixing every pool word into every other,
+    then every entropy word past the pool into each pool word, and the
+    output hash's (pool word, keys)."""
+    mixing = _hash_keys(0x43B0D7E5, 0x931E8875, 16 + 4 * max(size - 4, 0))
+    pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+    pairs += [(s, d) for s in range(4, size) for d in range(4)]
+    out = _hash_keys(0x8B51F9DD, 0x58F38DED, words)
+    return (mixing[:4], [(s, d, *key) for (s, d), key in zip(pairs, mixing[4:])],
+            [(i % 4, *key) for i, key in enumerate(out)])
+
+
+def _seed_words(entropy: list, words: int) -> list:
+    """``np.random.SeedSequence(entropy).generate_state(words)``, the
+    32-bit words, of entropy given as its 32-bit words.  numpy's algorithm
+    (``SeedSequence`` with its pool of four words): hash the entropy into
+    the pool, zeros past its end, mix every pool word into every other, mix
+    every entropy word past the pool into each, then hash the pool words in
+    turn into the output.
+
+    Each entropy word is a Python int or a uint64 array, one value per row,
+    so a whole block of trials hashes in one pass with the same code.
+    Products of two 32-bit values fit in 64 bits and each is masked to 32,
+    so uint64 arrays never overflow."""
+    first, mixes, out = _hash_schedule(len(entropy), words)
+    pool = []
+    for e, (x, m) in zip([*entropy[:4], 0, 0, 0], first):
+        v = (e ^ x) * m & _MASK32
+        pool.append(v ^ v >> 16)
+    pool += entropy[4:]  # mixed in as they are, as sources only
+    for s, d, x, m in mixes:
+        v = (pool[s] ^ x) * m & _MASK32
+        v = (pool[d] * 0xCA01F9DD & _MASK32) + ((v ^ v >> 16) * 0xB68C08EB & _MASK32) & _MASK32
+        pool[d] = v ^ v >> 16
+    state = []
+    for s, x, m in out:
+        v = (pool[s] ^ x) * m & _MASK32
+        state.append(v ^ v >> 16)
+    return state
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands out PCG64 seed words computed ahead by
+    ``_seed_words``, so a generator is built without hashing again."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _pcg_words(state) -> np.ndarray:
+    """The PCG64 seed words of 8 32-bit ``_seed_words`` (a sequence, or an
+    array with them on its last axis): ``generate_state(4, np.uint64)``,
+    which reads the pairs as little-endian 64-bit words."""
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` from the ``_pcg_words`` of the seed's
+    entropy, without hashing again."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def split_seed(master_seed: int, index: int) -> int:
-    """Stable order-independent per-trial seed from (master seed, trial index)."""
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable order-independent per-trial seed from (master seed, trial
+    index): numpy's ``SeedSequence([master_seed, index])``, first 64-bit
+    state word."""
+    low, high = _seed_words(_int_words(int(master_seed)) + _int_words(int(index)), 2)
+    return low | high << 32
+
+
+def _spawned_generators(entropy: list[int], count: int) -> list[np.random.Generator]:
+    """``[default_rng(s) for s in SeedSequence(entropy).spawn(count)]``:
+    numpy pads a spawned sequence's entropy words with zeros to the pool's
+    four, then appends the child's index."""
+    words = [word for value in entropy for word in _int_words(value)]
+    words += [0] * (4 - len(words))
+    return [_generator(_pcg_words(_seed_words(words + [i], 8))) for i in range(count)]
+
+
+def _hash_ints(prefix: list, values: np.ndarray, words: int) -> np.ndarray:
+    """(words, len(values)) uint64 array: column i is ``_seed_words`` of the
+    entropy ``prefix`` + ``_int_words(values[i])``, for a uint64 array of
+    values, one or two words each."""
+    state = np.empty((words, values.size), dtype=np.uint64)
+    short = values <= _MASK32
+    for rows, tail in ((short, [values]), (~short, [values & _MASK32, values >> 32])):
+        if rows.any():
+            state[:, rows] = _seed_words(prefix + [word[rows] for word in tail], words)
+    return state
+
+
+def _trial_generators(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """The generators ``run_trial`` builds for the seeds
+    ``split_seed(master_seed, i)``, i in range(start, stop), hashed in two
+    array passes: the seeds from their [master, i] entropy, then each
+    seed's PCG64 words from its own."""
+    low, high = _hash_ints(_int_words(master_seed), np.arange(start, stop, dtype=np.uint64), 2)
+    return [_generator(words) for words in _pcg_words(_hash_ints([], low | high << 32, 8).T)]
 
 
 def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
@@ -149,12 +279,13 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
 
     The optimum test runs after initialization and after every acceptance;
     stagnation classification (single-parent kinds only) runs at the same
-    points.  Deterministic given (kind, w, n, budget, seed).  ``observer``,
-    when given, is called as observer(g, state_or_population, accepted, event)
+    points.  Deterministic given (kind, w, n, budget, seed): the trial's
+    generator is ``np.random.default_rng(seed)``.  ``observer``, when
+    given, is called as observer(g, state_or_population, accepted, event)
     after initialization (g=0) and after every generation.
     """
     budget, w, n = check_count("budget", budget), check_weight(w), check_length(n)
-    rng = np.random.default_rng(check_seed(seed))
+    rng = _generator(_pcg_words(_seed_words(_int_words(check_seed(seed)), 8)))
     if kind.single_parent:
         return _run_batch(kind.name, w, n, budget, [rng], observer)[0]
     return _run_mu_plus_one(kind.mu, w, n, budget, rng, observer)
@@ -163,10 +294,11 @@ def run_trial(kind: AlgorithmKind, w: int, n: int, budget: int, seed: int,
 #: Most random numbers one draw call makes: the rows of a drawn block (RLS
 #: draws one index per row, the (mu+1) EA one parent index), the geometric
 #: gaps of one flip-field chunk and the words of one tie-break block; also
-#: the most rows a window of ``_run_batch`` reads.  Every trial of a
-#: batch holds up to 1.5 blocks of drawn rows: with a cap of 2**12, the
-#: runtime-scaling trials at n = 256 and 1024, w = 1, 30 per kind, peaked
-#: at 9.6 MB of arrays instead of 1.5 MB, and ran no faster.
+#: the most rows a window of ``_run_batch`` reads and one draw hands out.
+#: Every trial of a batch holds up to half a block plus one cap of drawn
+#: rows: with a cap of 2**12, the runtime-scaling trials at n = 256 and
+#: 1024, w = 1, 30 per kind, peaked at 9.6 MB of arrays instead of 1.5 MB,
+#: and ran no faster.
 _BLOCK_DRAWS = 1 << 9
 
 #: Rows of the first drawn block and of the first window.  Blocks double up
@@ -177,42 +309,46 @@ _FIRST_ROWS = 16
 
 
 def _flip_cells(kind_name, n, rng):
-    """cells(k): the flip cells of the next k generations' mutations, sorted;
-    cell r n + j stands for bit j of the r-th of them.
+    """cells(k, most): (flip cells, rows) of the next rows generations'
+    mutations, sorted, with k <= rows <= most; cell r n + j stands for bit
+    j of the r-th of them.
 
     RLS reads the generator's stream exactly as per-generation draws do:
     ``rng.integers(n, size=k)`` gives the values of k calls
-    ``rng.integers(n)``.  The (1+1) EA reads a flip field instead: cell
-    (g - 1) n + j stands for bit j of generation g, and the flipped cells are
-    c_1 = G_1 - 1 and c_{i+1} = c_i + G_{i+1}, with the G_i drawn as
-    ``rng.geometric(1/n)``.  Every cell flips independently with probability
-    1/n, so each mask has the law of ``mutate_ea``'s ``rng.random(n) < 1/n``,
-    but a generation costs O(1 + flips) instead of n random doubles.  Cells
-    drawn past a block are kept for the next one, and
-    ``rng.geometric(p, size=m)`` gives the values of m scalar calls, so the
-    field does not depend on the block sizes.  A chunk holds 4k + 32 gaps,
-    about four times a block's expected k flips, so short trials make few
-    draw calls; ``_BLOCK_DRAWS`` bounds it.
+    ``rng.integers(n)``, and rows is k.  The (1+1) EA reads a flip field
+    instead: cell (g - 1) n + j stands for bit j of generation g, and the
+    flipped cells are c_1 = G_1 - 1 and c_{i+1} = c_i + G_{i+1}, with the
+    G_i drawn as ``rng.geometric(1/n)``.  Every cell flips independently
+    with probability 1/n, so each mask has the law of ``mutate_ea``'s
+    ``rng.random(n) < 1/n``, but a generation costs O(1 + flips) instead of
+    n random doubles.  Chunks of min(4k + 32, ``_BLOCK_DRAWS``) gaps, about
+    four times a block's expected k flips, are drawn until the first k
+    generations are covered, and rows is every whole generation they cover,
+    up to the larger of k and ``_BLOCK_DRAWS``: a trial's first call covers
+    about 4k + 32, so a short trial draws once or twice.  Cells drawn past
+    the last row are kept for the next call, and ``rng.geometric(p,
+    size=m)`` gives the values of m scalar calls, so the field does not
+    depend on the chunk or block sizes.
     """
     if kind_name == "rls":
-        return lambda k: np.arange(0, k * n, n) + rng.integers(n, size=k)
+        return lambda k, most: (np.arange(0, k * n, n) + rng.integers(n, size=k), k)
     p = 1.0 / n
     # drawn flip cells not yet handed out, counted from the next block's
     # first cell, and the last drawn one
     field, last = np.empty(0, dtype=np.int64), -1
 
-    def cells(k):
+    def cells(k, most):
         nonlocal field, last
-        end = k * n
-        if last < end:
+        if last < k * n:
             chunks = [field]
-            while last < end:
+            while last < k * n:
                 chunks.append(last + rng.geometric(p, size=min(4 * k + 32, _BLOCK_DRAWS)).cumsum())
                 last = int(chunks[-1][-1])
             field = np.concatenate(chunks)
+        end = min((last + 1) // n, most, max(k, _BLOCK_DRAWS)) * n
         cut = int(field.searchsorted(end))
         drawn, field, last = field[:cut], field[cut:] - end, last - end
-        return drawn
+        return drawn, end // n
     return cells
 
 
@@ -224,7 +360,7 @@ def _flip_source(kind_name, n, rng):
     cells = _flip_cells(kind_name, n, rng)
 
     def draw(k):
-        rows, cols = np.divmod(cells(k), n)
+        rows, cols = np.divmod(cells(k, k)[0], n)
         masks = np.zeros(k, dtype=object)
         np.bitwise_or.at(masks, rows, np.left_shift(1, cols.astype(object)))
         return masks.tolist()
@@ -273,10 +409,12 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
 
     When a trial has read all its drawn generations, every trial with less
     than half its next block left draws that block; blocks double from
-    ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS`` rows.  Each generator is read in
-    order whatever the block sizes.  A trial leaves the batch at the
-    optimum or at a proven stagnation event, or at the budget.  Every
-    handed-out bitstring is a new array, never written again.
+    ``_FIRST_ROWS`` up to ``_BLOCK_DRAWS`` rows, and a draw takes every
+    generation its chunks cover, about four times a small block, up to the
+    budget.  Each generator is read in order whatever the block sizes.  A
+    trial leaves the batch at the optimum or at a proven stagnation event,
+    or at the budget.  Every handed-out bitstring is a new array, never
+    written again.
     """
     m = len(rngs)
     prevs, starts = _init_bits(np.concatenate([_init_words(n, 1, rng) for rng in rngs]), n)
@@ -334,16 +472,19 @@ def _run_batch(kind_name, w, n, budget, rngs, observer=None):
         slot, prev, x1, ones, t, g, row, end, window, block = trials
         left = end - row
         if not left.all():
-            k = np.minimum(block, budget - g - left)
+            most = budget - g - left
+            k = np.minimum(block, most)
             k[2 * left >= block] = 0
             block[k > 0] = np.minimum(2 * block[k > 0], _BLOCK_DRAWS)
+            drawing = k.nonzero()[0]
+            fresh = [draws[s](kk, mm) for s, kk, mm in
+                     zip(slot[drawing].tolist(), k[drawing].tolist(), most[drawing].tolist())]
+            k[drawing] = [rows for _, rows in fresh]
             size = left + k
             end[:] = size.cumsum()
             start = end - size
-            drawing = k.nonzero()[0]
-            fresh = [draws[s](kk) for s, kk in zip(slot[drawing].tolist(), k[drawing].tolist())]
-            counts = np.array([c.size for c in fresh])
-            columns, cells = np.divmod(np.concatenate(fresh), n)
+            counts = np.array([c.size for c, _ in fresh])
+            columns, cells = np.divmod(np.concatenate([c for c, _ in fresh]), n)
             del fresh
             columns += (end - k)[drawing].repeat(counts)
             cells += (slot[drawing] * n).repeat(counts)
@@ -513,7 +654,8 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     scalar draws from the same three sub-streams.
 
     After one ``_init_words`` draw for the mu members, two raw words of
-    ``rng`` seed a ``SeedSequence`` whose three children drive the rest:
+    ``rng`` seed the three children of their ``SeedSequence``
+    (``_spawned_generators``), which drive the rest:
     parent indices, drawn as ``integers(mu, size=k)``; mutations, read off
     the flip field of ``_flip_source("ea", ...)``; and tie-breaks, picked by
     ``_tie_source``.
@@ -545,21 +687,22 @@ def _run_mu_plus_one(mu, w, n, budget, rng, observer):
     list again.
     """
     prevs, bits = _init_bits(_init_words(n, mu, rng), n)
-    xs = [int.from_bytes(x, "little") for x in np.packbits(bits, axis=1, bitorder="little")]
+    width = (n + 7) // 8  # bytes per bitstring
+    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    xs = [int.from_bytes(packed[i:i + width], "little") for i in range(0, mu * width, width)]
     rows = [list(member) for member in zip(prevs.tolist(), xs, bits)]
     stamps = list(range(mu))
     buckets: dict[int, list[int]] = {}
     for stamp, (prev, x, _) in enumerate(rows):
         buckets.setdefault(x.bit_count() + w * prev, []).append(stamp)
     lo = min(buckets)
-    seeds = np.random.SeedSequence(rng.bit_generator.random_raw(2).tolist()).spawn(3)
-    parents, flips, ties = (np.random.default_rng(s) for s in seeds)
+    parents, flips, ties = _spawned_generators(rng.bit_generator.random_raw(2).tolist(), 3)
     draw, pick = _flip_source("ea", n, flips), _tie_source(ties)
 
     def snapshot():
         bare = [row for row in rows if row[2] is None]
-        joined = b"".join([row[1].to_bytes((n + 7) // 8, "little") for row in bare])
-        packed = np.frombuffer(joined, dtype=np.uint8).reshape(len(bare), (n + 7) // 8)
+        joined = b"".join([row[1].to_bytes(width, "little") for row in bare])
+        packed = np.frombuffer(joined, dtype=np.uint8).reshape(len(bare), width)
         for row, a in zip(bare, np.unpackbits(packed, axis=1, count=n, bitorder="little")):
             row[2] = a
         return [PopulationMember(prev, a) for prev, _, a in rows]

@@ -82,12 +82,15 @@ def _require_single_parent(kind, n: int):
     check_length(n)
 
 
-#: Bytes of offspring tables kept for reuse.  The most recent table always
-#: stays, so a sweep at one large n builds its table once; older tables stay,
-#: least recently used dropped first, while all of them fit together in this
-#: budget.  It holds every table that the reproduce presets read.
+#: Bytes of offspring tables, with the rejected-mass sums kept beside them,
+#: kept for reuse.  The most recent table always stays, so a sweep at one
+#: large n builds its table once; older tables stay, least recently used
+#: dropped first, while all of them fit together in this budget.  It holds
+#: every table that the reproduce presets read.
 _TABLE_BYTES = 64 << 20
-_tables: dict = {}  # (kind name, n) -> table, least recently used first
+# (kind name, n) -> (table, band ends, rejected sums), least recently used
+# first; see _table_entry
+_tables: dict = {}
 
 #: Entries of the padded up-flip pmf that a bit-wise table build holds at
 #: once: it runs over blocks of about this many / (3D) rows of k, so besides
@@ -95,18 +98,32 @@ _tables: dict = {}  # (kind name, n) -> table, least recently used first
 _TABLE_BLOCK = 1 << 18
 
 
-def _offspring_table(kind, n: int):
-    """The offspring table of (kind, n), from the cache (see _TABLE_BYTES)
-    or built (see _build_offspring_table)."""
+def _table_entry(kind, n: int):
+    """(table, ends, rejected) of (kind, n), from the cache (see
+    _TABLE_BYTES) or new: the offspring table (see _build_offspring_table),
+    the ``_band_end`` results found so far by (scale row, window start), and
+    the rejected-mass sums of the p = c blocks found so far by c, 2n doubles
+    at most.  The lumped row builder fills the last two; neither depends on
+    w, so a w sweep scans each window once, and both leave with the table."""
     key = (kind.name, n)
-    table = _tables.pop(key, None)
-    _tables[key] = table = _build_offspring_table(kind, n) if table is None else table
-    total = sum(tail.nbytes for _, tail, _ in _tables.values())
+    entry = _tables.pop(key, None)
+    _tables[key] = entry = (_build_offspring_table(kind, n), {}, {}) if entry is None else entry
+    total = sum(map(_entry_bytes, _tables.values()))
     for old in list(_tables)[:-1]:
         if total <= _TABLE_BYTES:
             break
-        total -= _tables.pop(old)[1].nbytes
-    return table
+        total -= _entry_bytes(_tables.pop(old))
+    return entry
+
+
+def _entry_bytes(entry) -> int:
+    (_, tail, _), _, rejected = entry
+    return tail.nbytes + sum(sums.nbytes for sums in rejected.values())
+
+
+def _offspring_table(kind, n: int):
+    """The offspring table of (kind, n) (see _table_entry)."""
+    return _table_entry(kind, n)[0]
 
 
 def _build_offspring_table(kind, n: int):
@@ -184,7 +201,7 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
     j >= lo + c - c' + w * (p - c) of table row k; rejected mass stays.
 
     Each accepted window [s, width) is cut to its significant band [s, e)
-    by ``_band_end``, once per chain: in every table row the accepted mass
+    by ``_band_end``, once per table: in every table row the accepted mass
     past e is at most 2**-52 of the band's off-diagonal mass.  The state
     itself (column lo of the c' = c window when p = c) is kept but not
     counted, and neither the rejected mass nor a row's leading term enters
@@ -197,8 +214,9 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
     are 3 wide; their bands drop zeros only, so RLS rows are unchanged.
 
     The rows of one (p, c) fill one slab: the c' = c band, the c' = 1 - c
-    band, then the rejected mass, summed per table row once per chain.  The
-    state itself is a column only when p = c, as column 0 (k' = k); there it
+    band, then the rejected mass, summed per table row once per chain, or
+    once per table when p = c, where it does not depend on w.  The state
+    itself is a column only when p = c, as column 0 (k' = k); there it
     takes the rejected mass and the last column is 0.  Rows are divided by
     their sums (float dust costs accuracy), their zeros dropped, and put in
     the order asked.  Slab column j of state (p, c, k) is state b[j] + k for
@@ -207,18 +225,28 @@ def _lumped_row_builder(kind, w: int, n: int) -> _RowSource:
     fetched once, here."""
     _require_single_parent(kind, n)
     w = check_weight(w)
-    lo, tail, scale = _offspring_table(kind, n)
+    (lo, tail, scale), ends, sums = _table_entry(kind, n)
     width = tail.shape[1]
     chunk = max(1, _CHUNK // width)  # table rows per block of about _CHUNK entries
+
+    def band_end(r, s):
+        if (r, s) not in ends:
+            ends[r, s] = _band_end(tail, scale[r], s)
+        return ends[r, s]
+
     blocks = []
     for p, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
         # the first accepted table column for c' = c (t) and for c' = 1 - c (u)
         t, u = (min(max(lo + c - cp + w * (p - c), 0), width) for cp in (c, 1 - c))
         own = p == c
-        et, eu = _band_end(tail, scale[0], t + own), _band_end(tail, scale[1], u)
-        rejected = np.concatenate([(tail[a:a + chunk, :t] * scale[0, :t]).sum(axis=1)
-                                   + (tail[a:a + chunk, :u] * scale[1, :u]).sum(axis=1)
-                                   for a in range(0, n, chunk)])
+        et, eu = band_end(0, t + own), band_end(1, u)
+        rejected = sums.get(c) if own else None
+        if rejected is None:
+            rejected = np.concatenate([(tail[a:a + chunk, :t] * scale[0, :t]).sum(axis=1)
+                                       + (tail[a:a + chunk, :u] * scale[1, :u]).sum(axis=1)
+                                       for a in range(0, n, chunk)])
+            if own:
+                sums[c] = rejected
         blocks.append((own, t, et, u, eu, rejected,
                        np.concatenate([3 * c * n - lo + np.arange(t, et),
                                        (c + 1) * n - lo + np.arange(u, eu),

@@ -5,10 +5,13 @@ Trial i always runs on its own generator, seeded from (master_seed, i), so a
 result is determined by its config.  The trials of a config run in one
 process, in blocks of consecutive indices; each block is reduced to
 per-trial summaries before the next one starts, so memory is bounded by one
-block.  RLS and (1+1) EA blocks go through the batch engine
-``algorithms._run_batch``, which steps a block's trials together; each trial
-is the one ``run_trial`` gives for its seed.  (mu+1) EA blocks call
-``run_trial`` trial by trial.
+block.  A block's generators come from ``algorithms._trial_generators``,
+which hashes all its seeds together in a few array passes, the same words
+as ``default_rng(split_seed(master_seed, i))``.  RLS and (1+1) EA blocks go
+through the batch engine ``algorithms._run_batch``, which steps a block's
+trials together; (mu+1) EA blocks run ``algorithms._run_mu_plus_one``
+trial by trial.  Either way each trial is the one ``run_trial`` gives for
+its seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AlgorithmKind, TrialStatus, _run_batch, run_trial, split_seed
+from .algorithms import (AlgorithmKind, TrialStatus, _run_batch, _run_mu_plus_one,
+                         _trial_generators, split_seed)
 from .core import _integer, check_count, check_length, check_seed, check_weight
 
 
@@ -107,13 +111,12 @@ def _run_trials(cfg: ExperimentConfig) -> list[tuple[str, str | None, int]]:
     """(status, event, generations) of cfg's trials, in trial order."""
     summaries = []
     for start in range(0, cfg.trials, _BLOCK_TRIALS):
-        seeds = [split_seed(cfg.master_seed, i)
-                 for i in range(start, min(start + _BLOCK_TRIALS, cfg.trials))]
+        rngs = _trial_generators(cfg.master_seed, start, min(start + _BLOCK_TRIALS, cfg.trials))
         if cfg.kind.mu is None:
-            outcomes = _run_batch(cfg.kind.name, cfg.w, cfg.n, cfg.budget,
-                                  [np.random.default_rng(s) for s in seeds])
+            outcomes = _run_batch(cfg.kind.name, cfg.w, cfg.n, cfg.budget, rngs)
         else:  # one at a time: a final population holds mu arrays
-            outcomes = (run_trial(cfg.kind, cfg.w, cfg.n, cfg.budget, s) for s in seeds)
+            outcomes = (_run_mu_plus_one(cfg.kind.mu, cfg.w, cfg.n, cfg.budget, rng, None)
+                        for rng in rngs)
         summaries += [(o.status.value, o.event.value if o.event is not None else None,
                        o.generations) for o in outcomes]
     return summaries

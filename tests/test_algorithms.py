@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2, chi2_contingency, ks_2samp
 
 import tlonemax as tl
-from tlonemax import algorithms
+from tlonemax import algorithms, montecarlo
 from tlonemax.algorithms import _mu_plus_one_generation, accept, mutate_ea, mutate_rls
 
 
@@ -757,6 +757,51 @@ class TestRunTrial:
         for seed in range(20):
             out = tl.run_trial(tl.RLS, 2, 8, 50, seed)
             assert out.generations <= 50
+
+
+class TestSeedHash:
+    # the seed hash against numpy's SeedSequence and default_rng, the oracle
+    masters = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 10**30]
+
+    def test_block_generators_match_default_rng(self):
+        # indices across the first block edge, and across 2**32 (two words)
+        edge = montecarlo._BLOCK_TRIALS
+        for master in self.masters:
+            for start in (edge - 3, 2**32 - 2):
+                rngs = algorithms._trial_generators(master, start, start + 5)
+                for i, rng in zip(range(start, start + 5), rngs):
+                    seq = np.random.SeedSequence([master, i])
+                    seed = int(seq.generate_state(1, np.uint64)[0])
+                    assert tl.split_seed(master, i) == seed, (master, i)
+                    words = algorithms._int_words(master) + algorithms._int_words(i)
+                    assert algorithms._seed_words(words, 8) == seq.generate_state(8).tolist()
+                    want = np.random.default_rng(seed).bit_generator.state
+                    assert rng.bit_generator.state == want, (master, i)
+
+    def test_one_and_two_word_seeds(self):
+        # seeds below 2**32 have one entropy word, the rest two; both through
+        # the block hash and through run_trial's scalar one
+        seeds = [0, 1, 7717, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
+        block = algorithms._pcg_words(
+            algorithms._hash_ints([], np.array(seeds, dtype=np.uint64), 8).T)
+        for seed, words in zip(seeds, block):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(words, want), seed
+            lone = algorithms._generator(algorithms._pcg_words(
+                algorithms._seed_words(algorithms._int_words(seed), 8)))
+            assert lone.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    def test_spawned_children_match_numpy(self):
+        # the (mu+1) EA's sub-streams: entropy of one to four words, zero-padded
+        for entropy in ([0, 0], [5, 2**32 - 1], [2**32, 3], [2**64 - 1, 2**63 + 1], [9]):
+            got = algorithms._spawned_generators(entropy, 3)
+            for rng, child in zip(got, np.random.SeedSequence(entropy).spawn(3)):
+                want = np.random.default_rng(child).bit_generator.state
+                assert rng.bit_generator.state == want, entropy
+
+    def test_negative_entropy_refused(self):
+        with pytest.raises(ValueError, match="^seed entropy must be non-negative, got -1$"):
+            tl.split_seed(-1, 0)
 
 
 def test_split_seed_stable_and_order_independent():

@@ -217,6 +217,35 @@ class TestOffspringTableReuse:
         assert table_builds[6:] == [("ea", 20), ("ea", 40)]
         assert list(tl.markov._tables) == [("ea", 40)]
 
+    @pytest.mark.parametrize("kind", [tl.RLS, tl.ONE_PLUS_ONE_EA], ids=["rls", "ea"])
+    def test_weight_sweep_scans_each_window_once(self, kind, monkeypatch):
+        # band ends and the p = c rejected sums do not depend on w, so they
+        # are kept beside the table: a sweep over every weight scans each
+        # distinct (scale row, window start) once, and a second sweep none
+        n, scans, scan = 30, [], tl.markov._band_end
+
+        def counted(tail, scale, s):
+            scans.append((tuple(scale.tolist()), s))
+            return scan(tail, scale, s)
+
+        monkeypatch.setattr(tl.markov, "_band_end", counted)
+        monkeypatch.setattr(tl.markov, "_tables", {})
+        warm = [tl.conditional_hitting_time(kind, w, n) for w in range(-n - 1, n + 2)]
+        assert len(scans) == len(set(scans)) >= 8
+        (_, tail, _), ends, rejected = tl.markov._tables[(kind.name, n)]
+        assert len(ends) == len(scans) and sorted(rejected) == [0, 1]
+        assert tl.markov._entry_bytes(tl.markov._tables[(kind.name, n)]) == \
+            tail.nbytes + 2 * n * 8
+        first = len(scans)
+        for w in range(-n - 1, n + 2):
+            tl.absorption_probabilities(kind, w, n)
+        assert len(scans) == first
+        for w, hit in zip(range(-n - 1, n + 2), warm):
+            monkeypatch.setattr(tl.markov, "_tables", {})
+            cold = tl.conditional_hitting_time(kind, w, n)
+            assert np.array_equal(cold.per_state, hit.per_state, equal_nan=True), w
+            assert np.array_equal(cold.absorption.per_state, hit.absorption.per_state), w
+
     def test_cached_arrays_are_read_only(self):
         for kind in (tl.RLS, tl.ONE_PLUS_ONE_EA):
             _, tail, scale = _offspring_table(kind, 30)
@@ -605,6 +634,8 @@ class TestLevelSolver:
             return out
 
         bands = run()
+        # band ends are kept beside the tables: start from empty ones
+        monkeypatch.setattr(tl.markov, "_tables", {})
         monkeypatch.setattr(tl.markov, "_band_end", lambda tail, scale, s: tail.shape[1])
         full = run()
         for case, got, want in zip([case for case in cases for _ in range(2)], bands, full):
